@@ -20,11 +20,12 @@
 
 #![warn(missing_docs)]
 
+use lfc_runtime::metrics::{self, Counter};
 use lfc_runtime::{on_thread_exit, thread_is_exiting, CachePadded};
 use std::alloc::Layout;
 use std::cell::Cell;
 use std::ptr::NonNull;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Capacity of a thread-local free list, from the paper.
 pub const LOCAL_CAP: usize = 200;
@@ -50,14 +51,6 @@ pub struct AllocStats {
     /// Oversized allocations that bypassed the pool entirely.
     pub oversize: usize,
 }
-
-// Each counter padded to its own line: FREED is bumped on every free by
-// every thread and would otherwise false-share with FRESH/RECYCLED bumped
-// on every allocation.
-static FRESH: CachePadded<AtomicUsize> = CachePadded::new(AtomicUsize::new(0));
-static RECYCLED: CachePadded<AtomicUsize> = CachePadded::new(AtomicUsize::new(0));
-static FREED: CachePadded<AtomicUsize> = CachePadded::new(AtomicUsize::new(0));
-static OVERSIZE: CachePadded<AtomicUsize> = CachePadded::new(AtomicUsize::new(0));
 
 /// A full (or partial, on thread exit) magazine pushed to the global stack.
 struct Segment {
@@ -131,6 +124,8 @@ static GLOBAL: [CachePadded<TaggedStack>; NUM_CLASSES] =
 
 struct Magazines {
     local: [Vec<*mut u8>; NUM_CLASSES],
+    /// This thread's counters, cached beside the magazines.
+    metrics: metrics::Local,
 }
 
 thread_local! {
@@ -143,6 +138,7 @@ fn with_mags<R>(f: impl FnOnce(&mut Magazines) -> R) -> R {
         if p.is_null() {
             p = Box::into_raw(Box::new(Magazines {
                 local: std::array::from_fn(|_| Vec::new()),
+                metrics: metrics::local(),
             }));
             cell.set(p);
             on_thread_exit(Box::new(move || {
@@ -204,47 +200,38 @@ pub fn try_alloc_block(layout: Layout) -> Result<NonNull<u8>, AllocError> {
     if lfc_runtime::fault::check("alloc.block") {
         return Err(AllocError);
     }
-    if thread_is_exiting() {
-        // Thread-exit fallback: no per-thread cache may be (re)created now.
-        let Some(class) = class_for(layout) else {
-            OVERSIZE.fetch_add(1, Ordering::Relaxed);
-            // Safety: non-zero size.
-            let p = unsafe { std::alloc::alloc(layout) };
-            return NonNull::new(p).ok_or(AllocError);
-        };
-        FRESH.fetch_add(1, Ordering::Relaxed);
-        let l = class_layout(class);
-        // Safety: non-zero size.
+    let class = class_for(layout);
+    // Oversized, or the thread-exit fallback (no per-thread cache may be
+    // (re)created now): straight to the system allocator.
+    let Some(class) = class.filter(|_| !thread_is_exiting()) else {
+        metrics::bump(if class.is_some() {
+            Counter::AllocFresh
+        } else {
+            Counter::AllocOversize
+        });
+        let l = class.map(class_layout).unwrap_or(layout);
+        // Safety: class and oversized layouts have non-zero size.
         let p = unsafe { std::alloc::alloc(l) };
-        return NonNull::new(p).ok_or(AllocError);
-    }
-    let Some(class) = class_for(layout) else {
-        OVERSIZE.fetch_add(1, Ordering::Relaxed);
-        // Safety: oversized layouts always have non-zero size here.
-        let p = unsafe { std::alloc::alloc(layout) };
         return NonNull::new(p).ok_or(AllocError);
     };
     let recycled = with_mags(|m| {
-        if let Some(p) = m.local[class].pop() {
-            return Some(p);
-        }
-        if let Some(seg) = GLOBAL[class].pop() {
-            m.local[class] = seg.items;
-            return m.local[class].pop();
-        }
-        None
+        let p = m.local[class].pop().or_else(|| {
+            m.local[class] = GLOBAL[class].pop()?.items;
+            m.local[class].pop()
+        });
+        m.metrics.bump(if p.is_some() {
+            Counter::AllocRecycled
+        } else {
+            Counter::AllocFresh
+        });
+        p
     });
     match recycled {
-        Some(p) => {
-            RECYCLED.fetch_add(1, Ordering::Relaxed);
-            // Safety: recycled blocks came from `alloc` with the class layout.
-            Ok(NonNull::new(p).expect("pool never stores null"))
-        }
+        // Safety: recycled blocks came from `alloc` with the class layout.
+        Some(p) => Ok(NonNull::new(p).expect("pool never stores null")),
         None => {
-            FRESH.fetch_add(1, Ordering::Relaxed);
-            let l = class_layout(class);
             // Safety: class layouts have non-zero size.
-            let p = unsafe { std::alloc::alloc(l) };
+            let p = unsafe { std::alloc::alloc(class_layout(class)) };
             NonNull::new(p).ok_or(AllocError)
         }
     }
@@ -258,7 +245,6 @@ pub fn try_alloc_block(layout: Layout) -> Result<NonNull<u8>, AllocError> {
 /// `ptr` must come from `alloc_block(layout)` (same size-class) and must not
 /// be used afterwards.
 pub unsafe fn free_block(ptr: *mut u8, layout: Layout) {
-    FREED.fetch_add(1, Ordering::Relaxed);
     #[cfg(lfc_model)]
     {
         // Inside a model execution the block is *quarantined* instead of
@@ -271,24 +257,22 @@ pub unsafe fn free_block(ptr: *mut u8, layout: Layout) {
         // its class layout (oversized ones with `layout` itself), which is
         // exactly what we hand the quarantine for the final release.
         if unsafe { lfc_model::rt::quarantine_block(ptr, l.size(), l.align()) } {
+            metrics::bump(Counter::AllocFreed);
             return;
         }
     }
-    if thread_is_exiting() {
-        // Thread-exit fallback: every pooled block originally came from the
-        // system allocator with its class layout, so direct deallocation is
-        // always valid.
-        let l = class_for(layout).map(class_layout).unwrap_or(layout);
+    let class = class_for(layout);
+    // Oversized, or the thread-exit fallback: every pooled block originally
+    // came from the system allocator with its class layout, so direct
+    // deallocation is always valid.
+    let Some(class) = class.filter(|_| !thread_is_exiting()) else {
+        metrics::bump(Counter::AllocFreed);
         // Safety: forwarded contract.
-        unsafe { std::alloc::dealloc(ptr, l) };
-        return;
-    }
-    let Some(class) = class_for(layout) else {
-        // Safety: forwarded contract.
-        unsafe { std::alloc::dealloc(ptr, layout) };
+        unsafe { std::alloc::dealloc(ptr, class.map(class_layout).unwrap_or(layout)) };
         return;
     };
     with_mags(|m| {
+        m.metrics.bump(Counter::AllocFreed);
         let list = &mut m.local[class];
         list.push(ptr);
         if list.len() >= LOCAL_CAP {
@@ -301,21 +285,30 @@ pub unsafe fn free_block(ptr: *mut u8, layout: Layout) {
     });
 }
 
-/// Current counters.
+/// Current process-wide counters (a read of `lfc_runtime::metrics`).
 pub fn stats() -> AllocStats {
+    let a = metrics::snapshot().alloc;
     AllocStats {
-        fresh: FRESH.load(Ordering::Relaxed),
-        recycled: RECYCLED.load(Ordering::Relaxed),
-        freed: FREED.load(Ordering::Relaxed),
-        oversize: OVERSIZE.load(Ordering::Relaxed),
+        fresh: a.fresh as usize,
+        recycled: a.recycled as usize,
+        freed: a.freed as usize,
+        oversize: a.oversize as usize,
     }
 }
 
-/// Blocks currently held by callers (allocated and not yet freed). Cached
-/// blocks in magazines / the global stack do not count as outstanding.
+/// Blocks currently held by callers (allocated and not yet freed),
+/// process-wide. Cached blocks in magazines / the global stack do not
+/// count as outstanding.
 pub fn outstanding() -> usize {
-    let s = stats();
-    (s.fresh + s.recycled + s.oversize).saturating_sub(s.freed)
+    metrics::snapshot().alloc.outstanding().max(0) as usize
+}
+
+/// The calling thread's allocations minus its frees. Only the difference
+/// of two reads on one thread means anything; unlike [`outstanding`], it
+/// cannot see other threads' activity, so a leak check whose allocations
+/// and frees all run on one thread can use it while siblings allocate.
+pub fn thread_outstanding() -> i64 {
+    metrics::local().snapshot().alloc.outstanding()
 }
 
 #[cfg(test)]
@@ -407,6 +400,29 @@ mod tests {
         unsafe { *(p.as_ptr() as *mut u64) = 42 };
         unsafe { free_block(p.as_ptr(), layout) };
         assert!(stats().oversize > before);
+    }
+
+    #[test]
+    fn thread_outstanding_ignores_sibling_allocations() {
+        let layout = l(64, 8);
+        let before = thread_outstanding();
+        // A sibling's allocations, still held when we read our delta.
+        let held: Vec<usize> = std::thread::spawn(move || {
+            (0..50)
+                .map(|_| alloc_block(layout).as_ptr() as usize)
+                .collect()
+        })
+        .join()
+        .unwrap();
+        let mine: Vec<_> = (0..3).map(|_| alloc_block(layout)).collect();
+        assert_eq!(thread_outstanding() - before, 3);
+        for b in mine {
+            unsafe { free_block(b.as_ptr(), layout) };
+        }
+        assert_eq!(thread_outstanding(), before);
+        for p in held {
+            unsafe { free_block(p as *mut u8, layout) };
+        }
     }
 
     #[test]

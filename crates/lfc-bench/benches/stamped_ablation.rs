@@ -11,6 +11,7 @@
 
 use lfc_bench::harness::{bench, bench_custom, report, Measurement};
 use lfc_core::move_one;
+use lfc_runtime::metrics::{total, Counter};
 use lfc_structures::{StampedStack, TreiberStack};
 use std::hint::black_box;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -92,7 +93,7 @@ fn false_helping_report() {
     const ROUNDS: usize = 30_000;
     const MOVERS: usize = 3;
     for stamped in [false, true] {
-        let before = lfc_dcas::counters::stale_mark_reverts();
+        let before = total(Counter::StaleMarkReverts);
         if stamped {
             let x: StampedStack<u64> = StampedStack::new();
             let y: StampedStack<u64> = StampedStack::new();
@@ -134,7 +135,7 @@ fn false_helping_report() {
                 }
             });
         }
-        let delta = lfc_dcas::counters::stale_mark_reverts() - before;
+        let delta = total(Counter::StaleMarkReverts) - before;
         println!(
             "false-helping episodes over {} move attempts ({}): {}",
             2 * MOVERS * ROUNDS,

@@ -9,27 +9,22 @@
 use crate::json::Json;
 
 /// A post-run snapshot of the hazard domain and fault counters as one JSON
-/// object. On an unfaulted run the `ejections`, `zombies`,
-/// `abandoned_threads`, and every `fired` are zero; nonzero values in a
-/// perf capture flag an armed site leaking in.
+/// object; the event counts come from one `lfc_runtime::metrics::Snapshot`.
+/// On an unfaulted run the `ejections`, `zombies`, `abandoned_threads`,
+/// and every `fired` are zero; nonzero values in a perf capture flag an
+/// armed site leaking in.
 pub fn reclamation_json() -> Json {
-    let (ejections, zombies) = lfc_hazard::ejection_stats();
+    let m = lfc_runtime::metrics::snapshot();
     Json::Obj(vec![
-        (
-            "retired_count".into(),
-            Json::int(lfc_hazard::retired_count() as u64),
-        ),
+        ("retired_count".into(), Json::int(m.reclaim.pending())),
         (
             "retired_bytes".into(),
             Json::int(lfc_hazard::retired_bytes() as u64),
         ),
-        (
-            "diverted".into(),
-            Json::int(lfc_hazard::diverted_count() as u64),
-        ),
-        ("scans".into(), Json::int(lfc_hazard::scan_count() as u64)),
-        ("ejections".into(), Json::int(ejections as u64)),
-        ("zombies".into(), Json::int(zombies as u64)),
+        ("diverted".into(), Json::int(m.reclaim.diverted)),
+        ("scans".into(), Json::int(m.reclaim.scans)),
+        ("ejections".into(), Json::int(m.reclaim.ejections)),
+        ("zombies".into(), Json::int(m.reclaim.zombies)),
         // Fault/robustness diagnostics (PR 8): helper-side protocol
         // completions (organic read-helping + corpse adoptions) and the
         // per-site fault-injection counters.

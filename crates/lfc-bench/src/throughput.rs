@@ -34,7 +34,7 @@
 use crate::hist::Hist;
 use crate::json::Json;
 use lfc_core::{move_keyed, BatchGate, MoveKeyedOp, MoveOutcome};
-use lfc_runtime::SmallRng;
+use lfc_runtime::{metrics, SmallRng};
 use lfc_structures::{LfHashMap, LfSkipMap, TreiberStack};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Barrier;
@@ -242,14 +242,14 @@ struct WorkerOut {
 /// Run one throughput configuration to completion.
 pub fn run_throughput(cfg: &TpCfg) -> TpResult {
     let oversubscribed = cfg.threads > cores();
-    let batched_before = lfc_core::batch::counters::batched_ops();
-    let elim_before = lfc_structures::elim::counters::eliminated_pairs();
+    let before = metrics::snapshot();
 
     let (outs, elapsed_ns, hwm) = match cfg.workload {
         TpWorkload::StackPushPop => run_stack(cfg),
         TpWorkload::SkipMix => run_skip(cfg),
         _ => run_maps(cfg),
     };
+    let after = metrics::snapshot();
 
     let mut hist = Hist::new();
     let mut ops = 0u64;
@@ -275,8 +275,8 @@ pub fn run_throughput(cfg: &TpCfg) -> TpResult {
         },
         retired_hwm: hwm,
         oversubscribed,
-        batched_ops: lfc_core::batch::counters::batched_ops() - batched_before,
-        elim_pairs: lfc_structures::elim::counters::eliminated_pairs() - elim_before,
+        batched_ops: after.batch.batched - before.batch.batched,
+        elim_pairs: after.structures.elim_pairs - before.structures.elim_pairs,
     }
 }
 

@@ -11,6 +11,7 @@
 //! `stall-series:` sample lines this test prints.
 
 use lfc_hazard::{configure_stall_policy, ejection_stats, retired_bytes, StallPolicy};
+use lfc_runtime::metrics::{self, Counter};
 use lfc_structures::TreiberStack;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
@@ -42,7 +43,7 @@ fn stall_parked_reader_keeps_garbage_bounded() {
 
     let mut series: Vec<(u128, usize)> = Vec::new();
     let (ej0, z0) = ejection_stats();
-    let d0 = lfc_hazard::diverted_count();
+    let d0 = metrics::total(Counter::Diverted);
 
     std::thread::scope(|sc| {
         // The stalled reader: enters an operation epoch "mid-traversal"
@@ -99,7 +100,7 @@ fn stall_parked_reader_keeps_garbage_bounded() {
     }
     let peak = series.iter().map(|&(_, b)| b).max().unwrap_or(0);
     let (ej1, z1) = ejection_stats();
-    let d1 = lfc_hazard::diverted_count();
+    let d1 = metrics::total(Counter::Diverted);
     println!(
         "stall-summary: peak_retired_bytes={peak} bound={BOUND_BYTES} \
          ejections={} zombies={} diverted={}",

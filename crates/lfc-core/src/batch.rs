@@ -93,6 +93,7 @@ use crate::{
 };
 use lfc_dcas::{DAtomic, DcasResult, DescHandle, Word, MAX_ENTRIES};
 use lfc_hazard::{pin, pin_op, slot, Guard, OpGuard, RetireInfo};
+use lfc_runtime::metrics::{self, Counter};
 use lfc_runtime::CachePadded;
 use std::alloc::Layout;
 use std::marker::PhantomData;
@@ -830,7 +831,7 @@ impl<R: BatchOp> BatchGate<R> {
             match req.try_direct(self.direct_budget) {
                 Some(w) => {
                     self.cool();
-                    counters::note_direct();
+                    metrics::bump(Counter::BatchDirect);
                     return w;
                 }
                 None => self.warm(),
@@ -840,7 +841,7 @@ impl<R: BatchOp> BatchGate<R> {
     }
 
     fn submit_batched(&self, req: R) -> Word {
-        counters::note_batched();
+        metrics::bump(Counter::BatchBatched);
         // One armed-generation load covers this submit's fault sites
         // (`batch.node` here, `batch.submitted` after publication).
         let fg = lfc_runtime::fault::gate();
@@ -910,7 +911,7 @@ impl<R: BatchOp> BatchGate<R> {
                 self.advance();
                 if rounds >= SELF_EXEC_ROUNDS {
                     if let Some(w) = n.req.run_flagged(&n.flag, node as usize) {
-                        counters::note_self_exec();
+                        metrics::bump(Counter::BatchSelfExec);
                         return w;
                     }
                 }
@@ -986,7 +987,7 @@ impl<R: BatchOp> BatchGate<R> {
             cur = n.next.load(Ordering::Acquire);
         }
         if all_done && self.header().batch.cas_word(b, 0) {
-            counters::note_batch_drained();
+            metrics::bump(Counter::BatchDrained);
             // The cooling half of the gate's hysteresis: the direct path
             // only cools on *direct* successes, but a hot gate never runs
             // direct attempts, so without this the gate could never
@@ -1260,50 +1261,9 @@ mod tests {
         // Back under the threshold: submits run (and succeed on) the
         // direct path again, cooling further.
         let h = gate.heat.load(SOrd::Relaxed);
-        let direct_before = counters::direct_ops();
+        let direct_before = metrics::total(Counter::BatchDirect);
         assert_eq!(gate.submit(NoopOp), TEST_DONE);
         assert!(gate.heat.load(SOrd::Relaxed) < h);
-        assert!(counters::direct_ops() > direct_before);
-    }
-}
-
-/// Diagnostic tallies for the adaptive front-end (plain `std` atomics:
-/// nothing in the protocol reads them).
-pub mod counters {
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    static DIRECT: AtomicU64 = AtomicU64::new(0);
-    static BATCHED: AtomicU64 = AtomicU64::new(0);
-    static DRAINED: AtomicU64 = AtomicU64::new(0);
-    static SELF_EXEC: AtomicU64 = AtomicU64::new(0);
-
-    pub(super) fn note_direct() {
-        DIRECT.fetch_add(1, Ordering::Relaxed);
-    }
-    pub(super) fn note_batched() {
-        BATCHED.fetch_add(1, Ordering::Relaxed);
-    }
-    pub(super) fn note_batch_drained() {
-        DRAINED.fetch_add(1, Ordering::Relaxed);
-    }
-    pub(super) fn note_self_exec() {
-        SELF_EXEC.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Submits that completed on the direct (unbatched) path.
-    pub fn direct_ops() -> u64 {
-        DIRECT.load(Ordering::Relaxed)
-    }
-    /// Submits routed through the claim list.
-    pub fn batched_ops() -> u64 {
-        BATCHED.load(Ordering::Relaxed)
-    }
-    /// Batches fully drained and cleared.
-    pub fn batches_drained() -> u64 {
-        DRAINED.load(Ordering::Relaxed)
-    }
-    /// Waiters that resolved their own request via the escape hatch.
-    pub fn self_execs() -> u64 {
-        SELF_EXEC.load(Ordering::Relaxed)
+        assert!(metrics::total(Counter::BatchDirect) > direct_before);
     }
 }

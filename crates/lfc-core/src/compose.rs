@@ -294,9 +294,25 @@ impl Engine {
         if deeper_ok {
             return ScasResult::Success;
         }
-        if self.no_commit || self.aliased {
-            // A deeper stage failed before any commit ran (or the
-            // composition would alias): permanently abort.
+        if self.aliased {
+            return ScasResult::Abort;
+        }
+        if self.no_commit {
+            // A deeper stage failed before any commit ran (target rejected,
+            // inner source empty): permanently abort — if this stage's
+            // captured word still holds its old value. It was captured
+            // before the deeper verdict was observed and is re-read after,
+            // so then it held throughout, and the verdict linearizes at
+            // the deeper observation. If the word moved, the verdict may
+            // describe a state that never existed together with this
+            // capture: redo this stage instead.
+            let e = &self.entries[idx];
+            // Safety: the ENTRY hazard promoted in `capture` keeps the
+            // word's allocation alive until `finish`.
+            if unsafe { (*e.ptr).read(&self.g) } != e.old {
+                self.dead = None;
+                return ScasResult::Fail;
+            }
             return ScasResult::Abort;
         }
         match self.retry_at {

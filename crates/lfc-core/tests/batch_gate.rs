@@ -5,6 +5,7 @@
 use lfc_core::batch::{self, decode_move, decode_swap, encode_move, encode_swap};
 use lfc_core::compose::SwapOutcome;
 use lfc_core::{BatchGate, MoveKeyedOp, MoveOneOp, MoveOutcome, SwapOp};
+use lfc_runtime::metrics::{self, Counter};
 use lfc_structures::{LfHashMap, MsQueue};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Barrier;
@@ -86,11 +87,11 @@ fn batched_path_matches_direct_semantics() {
 
     q1.enqueue(99);
     let move_gate = BatchGate::always_batched();
-    let before = batch::counters::batched_ops();
+    let before = metrics::total(Counter::BatchBatched);
     let w = move_gate.submit(MoveOneOp::new(&q1, &q2));
     assert_eq!(decode_move(w), MoveOutcome::Moved);
     assert_eq!(q2.dequeue(), Some(99));
-    assert!(batch::counters::batched_ops() > before);
+    assert!(metrics::total(Counter::BatchBatched) > before);
 }
 
 #[test]
@@ -145,12 +146,12 @@ fn adaptive_gate_stays_direct_when_uncontended() {
     let a: LfHashMap<u64, u64> = LfHashMap::new();
     let b: LfHashMap<u64, u64> = LfHashMap::new();
     let gate = BatchGate::new();
-    let direct_before = batch::counters::direct_ops();
+    let direct_before = metrics::total(Counter::BatchDirect);
     for k in 0..50u64 {
         a.insert(k, k);
         let w = gate.submit(MoveKeyedOp::new(&a, k, &b));
         assert_eq!(decode_move(w), MoveOutcome::Moved);
     }
     // Solo: every submit should have completed on the direct path.
-    assert!(batch::counters::direct_ops() >= direct_before + 50);
+    assert!(metrics::total(Counter::BatchDirect) >= direct_before + 50);
 }

@@ -127,7 +127,7 @@ pub fn adopt_dead_threads(g: &Guard) -> usize {
         // organic read-helping); releasing the bank is now safe.
         ANNOUNCE[tid as usize].store(0, Ordering::Release);
         fault::release_corpse(tid);
-        counters_adopt::ADOPTIONS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        lfc_runtime::metrics::bump(lfc_runtime::metrics::Counter::Adoptions);
         released += 1;
     }
     released
@@ -166,11 +166,6 @@ unsafe fn help_announced(w: Word, g: &Guard) -> bool {
         }
         _ => true,
     }
-}
-
-pub(crate) mod counters_adopt {
-    use std::sync::atomic::AtomicUsize;
-    pub(crate) static ADOPTIONS: AtomicUsize = AtomicUsize::new(0);
 }
 
 /// Total operations completed on behalf of another thread: helper runs of

@@ -29,9 +29,11 @@
 
 use crate::atomic::DAtomic;
 use crate::kcas::{CasnEntry, CasnResult};
+use crate::pool::PoolCounters;
 use crate::sync::{AtomicUsize, Ordering};
 use crate::word::{self, Word};
 use lfc_hazard::{slot, Guard};
+use lfc_runtime::metrics::{self, Counter};
 use lfc_runtime::solo;
 use std::alloc::Layout;
 use std::cell::Cell;
@@ -108,7 +110,6 @@ thread_local! {
 /// `res` reset — the CAS triples are overwritten by `set_first` /
 /// `set_second` anyway.
 fn reuse_desc(d: NonNull<DcasDesc>) {
-    counters::DESC_POOL_HITS.fetch_add(1, Ordering::Relaxed);
     // Safety: unreachable by any other thread (pool contract);
     // Relaxed reset is enough — publication happens-before is
     // established by the announcing CAS, never by this store.
@@ -129,7 +130,6 @@ fn reuse_desc(d: NonNull<DcasDesc>) {
 }
 
 fn init_desc(block: NonNull<DcasDesc>) {
-    counters::DESC_POOL_MISSES.fetch_add(1, Ordering::Relaxed);
     // Safety: freshly allocated, properly aligned and sized.
     unsafe {
         block.as_ptr().write(DcasDesc {
@@ -147,12 +147,17 @@ fn init_desc(block: NonNull<DcasDesc>) {
     }
 }
 
+const DESC_COUNTERS: PoolCounters = PoolCounters {
+    hit: Counter::DescPoolHits,
+    miss: Counter::DescPoolMisses,
+};
+
 fn alloc_desc() -> NonNull<DcasDesc> {
-    crate::pool::alloc(&POOL, DESC_LAYOUT, reuse_desc, init_desc)
+    crate::pool::alloc(&POOL, DESC_LAYOUT, DESC_COUNTERS, reuse_desc, init_desc)
 }
 
 fn try_alloc_desc() -> Result<NonNull<DcasDesc>, lfc_alloc::AllocError> {
-    crate::pool::try_alloc(&POOL, DESC_LAYOUT, reuse_desc, init_desc)
+    crate::pool::try_alloc(&POOL, DESC_LAYOUT, DESC_COUNTERS, reuse_desc, init_desc)
 }
 
 /// Return an unreachable descriptor to the pool (or the backing allocator).
@@ -455,42 +460,25 @@ impl Default for DescHandle {
     }
 }
 
-/// Diagnostic counters (Relaxed; used by the false-helping ablation bench
-/// and the pooling tests). Each is cache-line padded so bumping one from
-/// many threads cannot false-share with the others.
+/// Process-wide diagnostic counters (reads of `lfc_runtime::metrics`;
+/// used by the false-helping ablation bench and the pooling tests).
 pub mod counters {
-    use lfc_runtime::CachePadded;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    pub(crate) static HELP_RUNS: CachePadded<AtomicUsize> = CachePadded::new(AtomicUsize::new(0));
-    pub(crate) static STALE_MARK_REVERTS: CachePadded<AtomicUsize> =
-        CachePadded::new(AtomicUsize::new(0));
-    pub(crate) static DESC_POOL_HITS: CachePadded<AtomicUsize> =
-        CachePadded::new(AtomicUsize::new(0));
-    pub(crate) static DESC_POOL_MISSES: CachePadded<AtomicUsize> =
-        CachePadded::new(AtomicUsize::new(0));
+    use lfc_runtime::metrics::{total, Counter};
 
     /// Number of helper invocations of the DCAS (each is a `read` that found
     /// a descriptor and joined the protocol).
     pub fn help_runs() -> usize {
-        HELP_RUNS.load(Ordering::Relaxed)
-    }
-
-    /// Number of marked-descriptor installations that had to be reverted —
-    /// each one is a *false helping* episode caused by the ABA the paper's
-    /// §7 discussion attributes to the stack.
-    pub fn stale_mark_reverts() -> usize {
-        STALE_MARK_REVERTS.load(Ordering::Relaxed)
+        total(Counter::HelpRuns) as usize
     }
 
     /// Descriptor allocations served by the per-thread pool.
     pub fn desc_pool_hits() -> usize {
-        DESC_POOL_HITS.load(Ordering::Relaxed)
+        total(Counter::DescPoolHits) as usize
     }
 
     /// Descriptor allocations that fell through to `lfc-alloc`.
     pub fn desc_pool_misses() -> usize {
-        DESC_POOL_MISSES.load(Ordering::Relaxed)
+        total(Counter::DescPoolMisses) as usize
     }
 }
 
@@ -507,7 +495,7 @@ pub(crate) unsafe fn help(desc_word: Word, g: &Guard) {
     // load gates this and the nested `dcas.published` site.
     let fg = lfc_runtime::fault::gate();
     fg.check_kill("dcas.help");
-    counters::HELP_RUNS.fetch_add(1, Ordering::Relaxed);
+    metrics::bump(Counter::HelpRuns);
     // Safety: forwarded contract.
     let _ = unsafe { dcas_run_gated(desc_word, false, g, fg) };
 }
@@ -696,7 +684,7 @@ fn dcas_body(
         // D25–D27: decision went against us; undo our installation (if any)
         // and make sure the announcement is reverted.
         if p2set && ptr2.cas_word(my_mark, desc.old2) {
-            counters::STALE_MARK_REVERTS.fetch_add(1, Ordering::Relaxed);
+            metrics::bump(Counter::StaleMarkReverts);
         }
         ptr1.cas_word(plain, desc.old1);
         return DcasResult::SecondFailed;
@@ -706,7 +694,7 @@ fn dcas_body(
         // a stale ABA leftover (the winner's word was consumed before
         // SUCCESS was stored): revert it.
         if p2set && ptr2.cas_word(my_mark, desc.old2) {
-            counters::STALE_MARK_REVERTS.fetch_add(1, Ordering::Relaxed);
+            metrics::bump(Counter::StaleMarkReverts);
         }
         return DcasResult::Success;
     }
@@ -717,7 +705,7 @@ fn dcas_body(
         // We installed but lost the promotion race ("will have to change it
         // back to its old value", Lemma 3).
         if ptr2.cas_word(my_mark, desc.old2) {
-            counters::STALE_MARK_REVERTS.fetch_add(1, Ordering::Relaxed);
+            metrics::bump(Counter::StaleMarkReverts);
         }
     }
     // D28–D30: complete. `*ptr1` swings from the announcement to `new1`
@@ -749,7 +737,7 @@ fn finish_decided(
         // still installed is an ABA leftover; on SECONDFAILED every
         // installation is stale): revert it.
         if ptr2.cas_word(desc_word, desc.old2) {
-            counters::STALE_MARK_REVERTS.fetch_add(1, Ordering::Relaxed);
+            metrics::bump(Counter::StaleMarkReverts);
         }
     } else if res == RES_SECONDFAILED {
         // Came through `*ptr1`: only a failed pair leaves the announcement

@@ -39,9 +39,11 @@
 //!   once the RDCSS descriptor itself is protected and validated.
 
 use crate::atomic::DAtomic;
+use crate::pool::PoolCounters;
 use crate::sync::{AtomicUsize, Ordering};
 use crate::word::{self, Word};
 use lfc_hazard::{slot, Guard};
+use lfc_runtime::metrics::Counter;
 use std::alloc::Layout;
 use std::cell::Cell;
 use std::ptr::NonNull;
@@ -110,42 +112,27 @@ thread_local! {
     static RDCSS_POOL: crate::pool::PoolCell<RdcssDesc> = const { Cell::new(std::ptr::null_mut()) };
 }
 
-/// Diagnostic counters for the CASN/RDCSS pools (Relaxed; used by the
-/// pooling tests asserting the steady-state hot path never falls through to
-/// `lfc-alloc`). Padded like the DCAS counters.
+/// Process-wide counters for the CASN/RDCSS pools (reads of
+/// `lfc_runtime::metrics`; used by the pooling tests asserting the
+/// steady-state hot path never falls through to `lfc-alloc`).
 pub mod counters {
-    use lfc_runtime::CachePadded;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    pub(crate) static CASN_POOL_HITS: CachePadded<AtomicUsize> =
-        CachePadded::new(AtomicUsize::new(0));
-    pub(crate) static CASN_POOL_MISSES: CachePadded<AtomicUsize> =
-        CachePadded::new(AtomicUsize::new(0));
-    pub(crate) static RDCSS_POOL_HITS: CachePadded<AtomicUsize> =
-        CachePadded::new(AtomicUsize::new(0));
-    pub(crate) static RDCSS_POOL_MISSES: CachePadded<AtomicUsize> =
-        CachePadded::new(AtomicUsize::new(0));
+    use lfc_runtime::metrics::{total, Counter};
 
     /// CASN descriptor allocations served by the per-thread pool.
     pub fn casn_pool_hits() -> usize {
-        CASN_POOL_HITS.load(Ordering::Relaxed)
+        total(Counter::CasnPoolHits) as usize
     }
 
     /// CASN descriptor allocations that fell through to `lfc-alloc`.
     pub fn casn_pool_misses() -> usize {
-        CASN_POOL_MISSES.load(Ordering::Relaxed)
-    }
-
-    /// RDCSS descriptor allocations served by the per-thread pool.
-    pub fn rdcss_pool_hits() -> usize {
-        RDCSS_POOL_HITS.load(Ordering::Relaxed)
-    }
-
-    /// RDCSS descriptor allocations that fell through to `lfc-alloc`.
-    pub fn rdcss_pool_misses() -> usize {
-        RDCSS_POOL_MISSES.load(Ordering::Relaxed)
+        total(Counter::CasnPoolMisses) as usize
     }
 }
+
+const CASN_COUNTERS: PoolCounters = PoolCounters {
+    hit: Counter::CasnPoolHits,
+    miss: Counter::CasnPoolMisses,
+};
 
 unsafe fn reclaim_casn(p: *mut u8) {
     // CasnDesc has no drop glue; recycle the block through the pool.
@@ -203,7 +190,6 @@ impl std::fmt::Debug for CasnHandle {
 }
 
 fn reuse_casn(d: NonNull<CasnDesc>) {
-    counters::CASN_POOL_HITS.fetch_add(1, Ordering::Relaxed);
     // Safety: unreachable by any other thread (pool contract).
     // Relaxed reset suffices: publication happens-before is
     // established by the phase-1 RDCSS installs, never here.
@@ -219,7 +205,6 @@ fn reuse_casn(d: NonNull<CasnDesc>) {
 }
 
 fn init_casn(block: NonNull<CasnDesc>) {
-    counters::CASN_POOL_MISSES.fetch_add(1, Ordering::Relaxed);
     // Safety: fresh block.
     unsafe {
         block.as_ptr().write(CasnDesc {
@@ -234,7 +219,13 @@ fn init_casn(block: NonNull<CasnDesc>) {
 impl CasnHandle {
     /// Allocate an empty descriptor (per-thread pooled, 512-aligned).
     pub fn new() -> Self {
-        let block = crate::pool::alloc(&CASN_POOL, CASN_LAYOUT, reuse_casn, init_casn);
+        let block = crate::pool::alloc(
+            &CASN_POOL,
+            CASN_LAYOUT,
+            CASN_COUNTERS,
+            reuse_casn,
+            init_casn,
+        );
         CasnHandle { desc: block }
     }
 
@@ -247,7 +238,13 @@ impl CasnHandle {
         if lfc_runtime::fault::check("dcas.casn") {
             return Err(lfc_alloc::AllocError);
         }
-        let block = crate::pool::try_alloc(&CASN_POOL, CASN_LAYOUT, reuse_casn, init_casn)?;
+        let block = crate::pool::try_alloc(
+            &CASN_POOL,
+            CASN_LAYOUT,
+            CASN_COUNTERS,
+            reuse_casn,
+            init_casn,
+        )?;
         Ok(CasnHandle { desc: block })
     }
 
@@ -633,18 +630,11 @@ fn try_alloc_rdcss(
             });
         }
     };
-    let block = crate::pool::try_alloc(
-        &RDCSS_POOL,
-        RDCSS_LAYOUT,
-        |d| {
-            counters::RDCSS_POOL_HITS.fetch_add(1, Ordering::Relaxed);
-            fill(d);
-        },
-        |d| {
-            counters::RDCSS_POOL_MISSES.fetch_add(1, Ordering::Relaxed);
-            fill(d);
-        },
-    )?;
+    let counters = PoolCounters {
+        hit: Counter::RdcssPoolHits,
+        miss: Counter::RdcssPoolMisses,
+    };
+    let block = crate::pool::try_alloc(&RDCSS_POOL, RDCSS_LAYOUT, counters, fill, fill)?;
     Ok(word::rdcss_word(block.as_ptr() as usize))
 }
 

@@ -11,6 +11,7 @@
 //! address — exactly the point at which handing the block to a *different*
 //! allocation would also have been legal.
 
+use lfc_runtime::metrics::{self, Counter};
 use lfc_runtime::{on_thread_exit, thread_is_exiting};
 use std::alloc::Layout;
 use std::cell::Cell;
@@ -25,6 +26,8 @@ use std::thread::LocalKey;
 /// without hoarding.
 pub(crate) struct DescPool<T> {
     free: Vec<NonNull<T>>,
+    /// This thread's counters, cached beside the free list.
+    metrics: metrics::Local,
 }
 
 /// The thread-local anchor a descriptor type declares for its pool.
@@ -38,7 +41,10 @@ fn with_pool<T: 'static, R>(
     key.with(|cell| {
         let mut p = cell.get();
         if p.is_null() {
-            p = Box::into_raw(Box::new(DescPool { free: Vec::new() }));
+            p = Box::into_raw(Box::new(DescPool {
+                free: Vec::new(),
+                metrics: metrics::local(),
+            }));
             cell.set(p);
             on_thread_exit(Box::new(move || {
                 key.with(|c| c.set(std::ptr::null_mut()));
@@ -56,23 +62,25 @@ fn with_pool<T: 'static, R>(
     })
 }
 
+/// Which registry counters a pool's hits and misses go to.
+pub(crate) struct PoolCounters {
+    pub(crate) hit: Counter,
+    pub(crate) miss: Counter,
+}
+
 /// Allocate a descriptor block: pool hit (handed to `reuse` to reset the
 /// fields publication cares about), or a fresh block initialized by `init`.
+/// Panics (unwinds) where [`try_alloc`] would fail, like
+/// `lfc_alloc::alloc_block`.
 pub(crate) fn alloc<T: 'static>(
     key: &'static LocalKey<PoolCell<T>>,
     layout: Layout,
+    counters: PoolCounters,
     reuse: impl FnOnce(NonNull<T>),
     init: impl FnOnce(NonNull<T>),
 ) -> NonNull<T> {
-    if !thread_is_exiting() {
-        if let Some(d) = with_pool(key, layout, |pool| pool.free.pop()) {
-            reuse(d);
-            return d;
-        }
-    }
-    let block = lfc_alloc::alloc_block(layout).cast::<T>();
-    init(block);
-    block
+    try_alloc(key, layout, counters, reuse, init)
+        .unwrap_or_else(|_| panic!("lfc-alloc: allocation of {layout:?} failed"))
 }
 
 /// Fallible [`alloc`]: a pool hit never fails; the fresh-block fallthrough
@@ -80,16 +88,23 @@ pub(crate) fn alloc<T: 'static>(
 pub(crate) fn try_alloc<T: 'static>(
     key: &'static LocalKey<PoolCell<T>>,
     layout: Layout,
+    counters: PoolCounters,
     reuse: impl FnOnce(NonNull<T>),
     init: impl FnOnce(NonNull<T>),
 ) -> Result<NonNull<T>, lfc_alloc::AllocError> {
-    if !thread_is_exiting() {
-        if let Some(d) = with_pool(key, layout, |pool| pool.free.pop()) {
+    let m = if thread_is_exiting() {
+        metrics::local()
+    } else {
+        let (d, m) = with_pool(key, layout, |pool| (pool.free.pop(), pool.metrics));
+        if let Some(d) = d {
+            m.bump(counters.hit);
             reuse(d);
             return Ok(d);
         }
-    }
+        m
+    };
     let block = lfc_alloc::try_alloc_block(layout)?.cast::<T>();
+    m.bump(counters.miss);
     init(block);
     Ok(block)
 }

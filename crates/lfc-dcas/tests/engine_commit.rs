@@ -8,9 +8,9 @@
 //! spawned-thread phase guarantees the published K=2 (DCAS) and K>2 (CASN)
 //! dispatches — all asserted against the same all-or-nothing contract.
 
-use lfc_dcas::kcas::counters as kcounters;
 use lfc_dcas::{commit_entries, CasnEntry, CasnResult, DAtomic, MAX_ENTRIES};
 use lfc_hazard::pin;
+use lfc_runtime::metrics;
 
 fn entry(w: &DAtomic, old: usize, new: usize) -> CasnEntry {
     CasnEntry {
@@ -68,8 +68,9 @@ fn unified_commit_covers_solo_dcas_and_casn_regimes() {
         }
     }
     // Solo commits build no descriptors at all.
+    let e = metrics::snapshot().engine;
     assert_eq!(
-        kcounters::casn_pool_hits() + kcounters::casn_pool_misses(),
+        e.casn_pool_hits + e.casn_pool_misses,
         0,
         "the solo regime must never allocate a CASN descriptor"
     );
@@ -107,7 +108,7 @@ fn unified_commit_covers_solo_dcas_and_casn_regimes() {
     // K=3 dispatch: the CASN protocol, now pooled — steady-state commits
     // must recycle descriptors instead of falling through to `lfc-alloc`.
     let words: Vec<DAtomic> = (0..3).map(|i| DAtomic::new(i * 8)).collect();
-    let miss0 = kcounters::casn_pool_misses() + kcounters::rdcss_pool_misses();
+    let e0 = metrics::snapshot().engine;
     for round in 0..60usize {
         let es: Vec<CasnEntry> = words
             .iter()
@@ -119,13 +120,15 @@ fn unified_commit_covers_solo_dcas_and_casn_regimes() {
         // per iteration makes the recycling deterministic for the assert.
         lfc_hazard::flush();
     }
+    let e = metrics::snapshot().engine;
     assert!(
-        kcounters::casn_pool_hits() > 0 && kcounters::rdcss_pool_hits() > 0,
+        e.casn_pool_hits > 0 && e.rdcss_pool_hits > 0,
         "steady-state CASN commits must reuse pooled descriptors (casn hits {}, rdcss hits {})",
-        kcounters::casn_pool_hits(),
-        kcounters::rdcss_pool_hits()
+        e.casn_pool_hits,
+        e.rdcss_pool_hits
     );
-    let misses = kcounters::casn_pool_misses() + kcounters::rdcss_pool_misses() - miss0;
+    let misses =
+        e.casn_pool_misses + e.rdcss_pool_misses - e0.casn_pool_misses - e0.rdcss_pool_misses;
     assert!(
         misses <= 16,
         "steady-state misses must be bounded by the warmup burst, got {misses}"

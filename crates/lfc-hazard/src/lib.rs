@@ -111,6 +111,7 @@
 #![warn(missing_docs)]
 
 use crate::sync::{fence, AtomicPtr, AtomicUsize, Ordering};
+use lfc_runtime::metrics::{self, Counter};
 use lfc_runtime::{
     current_tid, on_thread_exit, registered_high_water, thread_is_exiting, CachePadded, MAX_THREADS,
 };
@@ -330,15 +331,6 @@ pub fn stall_policy() -> StallPolicy {
     }
 }
 
-/// Total allocations handed to [`retire`]. Padded: bumped on every retire
-/// by every thread; must not share a line with `RECLAIMED_TOTAL` (bumped in
-/// scans) or the orphan head.
-static RETIRED_TOTAL: CachePadded<AtomicUsize> = CachePadded::new(AtomicUsize::new(0));
-/// Total retired allocations whose reclaimer has run. Padded as above.
-static RECLAIMED_TOTAL: CachePadded<AtomicUsize> = CachePadded::new(AtomicUsize::new(0));
-/// Total reclamation scans run (diagnostics; the adaptive-threshold test
-/// asserts scan counts stay logarithmic under pinned retire bursts).
-static SCANS_TOTAL: CachePadded<AtomicUsize> = CachePadded::new(AtomicUsize::new(0));
 /// Bytes sitting in retired-but-unreclaimed records (as reported to
 /// [`retire_with`]; legacy [`retire`] records count 0). Published at scan
 /// granularity, not per retire: each thread accumulates into its
@@ -350,17 +342,10 @@ static SCANS_TOTAL: CachePadded<AtomicUsize> = CachePadded::new(AtomicUsize::new
 /// late, the conservative direction for ejection; the stall adversary
 /// reads this after `flush`, which publishes).
 static RETIRED_BYTES: CachePadded<AtomicUsize> = CachePadded::new(AtomicUsize::new(0));
-/// Total records diverted into type-stable limbo instead of reclaimed
-/// (their drop glue never runs; the block itself returned to the pool).
-static DIVERTED_TOTAL: CachePadded<AtomicUsize> = CachePadded::new(AtomicUsize::new(0));
-/// Total ejection marks successfully installed (diagnostics/tests).
-static EJECTIONS_TOTAL: AtomicUsize = AtomicUsize::new(0);
-/// Total zombie promotions (diagnostics/tests).
-static ZOMBIES_TOTAL: AtomicUsize = AtomicUsize::new(0);
 
-/// Retire volume at the last ungated era advance (see `collect_protection`:
-/// the era clock must keep ticking while a laggard blocks the gated
-/// advance, otherwise lag can never exceed `stall_eras`).
+/// Process-wide retire volume at the last ungated era advance (see
+/// `collect_protection`: the era clock must keep ticking while a laggard
+/// blocks the gated advance, otherwise lag can never exceed `stall_eras`).
 #[cfg(not(lfc_model))]
 static ERA_TICK: AtomicUsize = AtomicUsize::new(0);
 /// Retires between ungated era advances (≈ one era per base scan batch).
@@ -470,6 +455,8 @@ struct ThreadReclaim {
     /// [`RETIRED_BYTES`] (see the doc there): folded in by
     /// [`publish_and_scan`], so the retire fast path is a plain add.
     bytes_unpublished: usize,
+    /// This thread's counters, cached beside the retire list.
+    metrics: metrics::Local,
 }
 
 thread_local! {
@@ -484,6 +471,7 @@ fn with_reclaim<R>(f: impl FnOnce(&mut ThreadReclaim) -> R) -> R {
                 pending: Vec::new(),
                 next_scan: 0,
                 bytes_unpublished: 0,
+                metrics: metrics::local(),
             }));
             cell.set(p);
             // Tear down *before* the thread id is released (lfc-runtime runs
@@ -913,7 +901,6 @@ pub struct RetireInfo {
 /// block into type-stable memory without dereferencing its contents.
 #[inline]
 pub unsafe fn retire_with(ptr: *mut u8, reclaim: unsafe fn(*mut u8), info: RetireInfo) {
-    RETIRED_TOTAL.fetch_add(1, Ordering::Relaxed);
     // No fence and no epoch read here: the record enters the list
     // UNTAGGED, and the first scan that sees it — whose own SC fence is
     // ordered after this retire (same thread, or the orphan handoff's
@@ -932,11 +919,13 @@ pub unsafe fn retire_with(ptr: *mut u8, reclaim: unsafe fn(*mut u8), info: Retir
         // Thread-exit fallback: park the record on the orphan stack (the
         // next scan by any live thread adopts it) and publish its bytes
         // now — there is no later scan of ours to fold them in.
+        metrics::bump(Counter::Retired);
         RETIRED_BYTES.fetch_add(info.bytes, Ordering::Relaxed);
         orphans_push(vec![r]);
         return;
     }
     with_reclaim(|tr| {
+        tr.metrics.bump(Counter::Retired);
         tr.bytes_unpublished += info.bytes;
         tr.pending.push(r);
         if tr.pending.len() >= tr.next_scan.max(scan_threshold()) {
@@ -1023,10 +1012,14 @@ fn collect_protection() -> Protection {
     let hw = registered_high_water();
 
     let pol = stall_policy();
+    // Summed once for this scan: the pressure check and the era tick both
+    // read the process's retire counts.
+    #[cfg_attr(lfc_model, allow(unused_variables))]
+    let (retired, pending) = retire_totals();
     // Ejection is armed only under genuine garbage pressure; a stalled
     // reader on an idle system costs nothing and is left alone.
     let pressure = RETIRED_BYTES.load(Ordering::Relaxed) > pol.max_retired_bytes
-        || retired_count() > pol.max_retired_count;
+        || pending > pol.max_retired_count as u64;
 
     // Epoch sweep BEFORE the hazard sweep. A reader that exits its epoch
     // after promoting a protection into a hazard slot stores the hazard
@@ -1106,7 +1099,7 @@ fn collect_protection() -> Protection {
                     .compare_exchange(v, v | Z_BIT, Ordering::SeqCst, Ordering::Relaxed)
                     .is_ok()
             {
-                ZOMBIES_TOTAL.fetch_add(1, Ordering::Relaxed);
+                metrics::bump(Counter::Zombies);
                 // Conservatively still a gating reader for *this* scan
                 // (min_enter above already included it); the partition
                 // takes over from the next scan.
@@ -1123,7 +1116,7 @@ fn collect_protection() -> Protection {
                 .compare_exchange(v, v | EJ_BIT, Ordering::SeqCst, Ordering::Relaxed)
                 .is_ok()
             {
-                EJECTIONS_TOTAL.fetch_add(1, Ordering::Relaxed);
+                metrics::bump(Counter::Ejections);
             }
         }
     }
@@ -1159,9 +1152,11 @@ fn collect_protection() -> Protection {
     // scenarios drive eras explicitly via `advance_epoch`.
     #[cfg(not(lfc_model))]
     if !all_at_cur {
-        let retired = RETIRED_TOTAL.load(Ordering::Relaxed);
+        let retired = retired as usize;
         let mark = ERA_TICK.load(Ordering::Relaxed);
-        if retired.wrapping_sub(mark) >= ERA_RETIRE_QUANTUM
+        // Saturating: two scans' sums of the per-thread counts need not
+        // be ordered, and a smaller sum must not read as a wrapped burst.
+        if retired.saturating_sub(mark) >= ERA_RETIRE_QUANTUM
             && ERA_TICK
                 .compare_exchange(mark, retired, Ordering::Relaxed, Ordering::Relaxed)
                 .is_ok()
@@ -1200,17 +1195,18 @@ fn collect_protection() -> Protection {
 /// `ENTRY*`/`HELP*`/`DESC` pin from an in-flight composition keeps a block
 /// alive even after all epochs quiesce).
 fn scan_list(list: &mut Vec<Retired>) {
-    SCANS_TOTAL.fetch_add(1, Ordering::Relaxed);
+    let m = metrics::local();
+    m.bump(Counter::Scans);
     // Adopt orphans so abandoned garbage cannot accumulate forever.
     orphans_adopt(list);
     let p = collect_protection();
     let pending = std::mem::take(list);
-    // Per-scan batches for the global gauges: one RMW each at the end
-    // instead of one per freed record (the free loop is the hot part of a
-    // scan; lock-prefixed RMWs per record showed up in profiles).
+    // Per-scan batches: one add each at the end instead of one per freed
+    // record (the free loop is the hot part of a scan; lock-prefixed RMWs
+    // per record on the byte gauge showed up in profiles).
     let mut freed_bytes = 0usize;
-    let mut reclaimed = 0usize;
-    let mut diverted = 0usize;
+    let mut reclaimed = 0u64;
+    let mut diverted = 0u64;
     for mut r in pending {
         let epoch_clear = if r.epoch == UNTAGGED {
             // First scan to see this record. With no active reader it can
@@ -1266,12 +1262,8 @@ fn scan_list(list: &mut Vec<Retired>) {
             unsafe { (r.reclaim)(r.ptr) };
         }
     }
-    if reclaimed != 0 {
-        RECLAIMED_TOTAL.fetch_add(reclaimed, Ordering::Relaxed);
-    }
-    if diverted != 0 {
-        DIVERTED_TOTAL.fetch_add(diverted, Ordering::Relaxed);
-    }
+    m.add(Counter::Reclaimed, reclaimed);
+    m.add(Counter::Diverted, diverted);
     if freed_bytes != 0 {
         RETIRED_BYTES.fetch_sub(freed_bytes, Ordering::Relaxed);
     }
@@ -1289,19 +1281,19 @@ pub fn flush() {
     with_reclaim(publish_and_scan);
 }
 
-/// Number of retired-but-not-yet-freed allocations (process-wide; diverted
-/// records count as freed — their blocks are back in the pool).
+/// Number of retired-but-not-yet-freed allocations, process-wide: the
+/// count the [`StallPolicy::max_retired_count`] budget is charged against
+/// (diverted records count as freed — their blocks are back in the pool).
 pub fn pending_retired() -> usize {
-    retired_count()
+    retire_totals().1 as usize
 }
 
-/// Number of retired records still awaiting reclamation (the count the
-/// [`StallPolicy::max_retired_count`] budget is charged against).
-pub fn retired_count() -> usize {
-    RETIRED_TOTAL
-        .load(Ordering::Relaxed)
-        .saturating_sub(RECLAIMED_TOTAL.load(Ordering::Relaxed))
-        .saturating_sub(DIVERTED_TOTAL.load(Ordering::Relaxed))
+/// Process-wide (retired, still awaiting reclamation) record counts, in
+/// one pass over the metrics registry.
+fn retire_totals() -> (u64, u64) {
+    let [retired, freed, diverted] =
+        metrics::totals([Counter::Retired, Counter::Reclaimed, Counter::Diverted]);
+    (retired, retired.saturating_sub(freed + diverted))
 }
 
 /// Bytes held by retired records still awaiting reclamation, as reported
@@ -1312,31 +1304,21 @@ pub fn retired_bytes() -> usize {
     RETIRED_BYTES.load(Ordering::Relaxed)
 }
 
-/// Number of records diverted into type-stable limbo by the zombie tier
-/// (their drop glue never ran; bounded per stall — see crate docs).
-pub fn diverted_count() -> usize {
-    DIVERTED_TOTAL.load(Ordering::Relaxed)
-}
-
 /// (ejection marks installed, zombie promotions) since process start.
 pub fn ejection_stats() -> (usize, usize) {
-    (
-        EJECTIONS_TOTAL.load(Ordering::Relaxed),
-        ZOMBIES_TOTAL.load(Ordering::Relaxed),
-    )
+    let [ejections, zombies] = metrics::totals([Counter::Ejections, Counter::Zombies]);
+    (ejections as usize, zombies as usize)
 }
 
 /// Number of reclamation scans run since process start (diagnostics).
 pub fn scan_count() -> usize {
-    SCANS_TOTAL.load(Ordering::Relaxed)
+    metrics::total(Counter::Scans) as usize
 }
 
 /// (retired, reclaimed) totals since process start.
 pub fn stats() -> (usize, usize) {
-    (
-        RETIRED_TOTAL.load(Ordering::Relaxed),
-        RECLAIMED_TOTAL.load(Ordering::Relaxed),
-    )
+    let [retired, reclaimed] = metrics::totals([Counter::Retired, Counter::Reclaimed]);
+    (retired as usize, reclaimed as usize)
 }
 
 #[cfg(test)]

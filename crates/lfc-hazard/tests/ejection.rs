@@ -12,9 +12,10 @@
 //! on a mutex and restore `StallPolicy::DEFAULT` before releasing it.
 
 use lfc_hazard::{
-    advance_epoch, birth_era, configure_stall_policy, diverted_count, ejection_stats, flush,
-    pin_op, retire_with, RetireInfo, StallPolicy,
+    advance_epoch, birth_era, configure_stall_policy, ejection_stats, flush, pin_op, retire_with,
+    RetireInfo, StallPolicy,
 };
+use lfc_runtime::metrics::{self, Counter};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -114,7 +115,7 @@ fn parked_reader_is_ejected_and_garbage_diverted() {
         assert!(spin_until(30, || entered.load(Ordering::SeqCst)));
         let _pol = Aggressive::new();
         let (ej0, z0) = ejection_stats();
-        let d0 = diverted_count();
+        let d0 = metrics::total(Counter::Diverted);
         // Garbage retired while the reader's epoch covers it: only the
         // zombie partition (divert) can free it before the reader exits.
         retire_probe();
@@ -122,7 +123,7 @@ fn parked_reader_is_ejected_and_garbage_diverted() {
             spin_until(30, || {
                 advance_epoch();
                 flush();
-                diverted_count() > d0
+                metrics::total(Counter::Diverted) > d0
             }),
             "zombie-pinned divertable garbage must be diverted"
         );
@@ -181,7 +182,7 @@ fn ejected_owner_may_exit_instead_of_restarting() {
     assert!(spin_until(30, || {
         advance_epoch();
         flush();
-        lfc_hazard::retired_count() == 0
+        lfc_hazard::pending_retired() == 0
     }));
 }
 
@@ -266,6 +267,6 @@ fn nested_pin_op_defers_restart_to_outermost() {
     assert!(spin_until(30, || {
         advance_epoch();
         flush();
-        lfc_hazard::retired_count() == 0
+        lfc_hazard::pending_retired() == 0
     }));
 }

@@ -14,12 +14,18 @@
 
 use lfc_hazard::{bank_is_clear, pin, pin_op, slot};
 use lfc_runtime::{registered_high_water, tid_is_claimed, MAX_THREADS};
+use std::sync::{Mutex, PoisonError};
+
+/// Both tests claim and release the lowest free ids; run alone, each one
+/// knows that every id it inspects belongs to a thread it has joined.
+static SERIAL: Mutex<()> = Mutex::new(());
 
 /// Thousands of short-lived threads, each leaving hazards and a pinned
 /// epoch behind at exit: the id space must stay bounded and every released
 /// id's bank must come back clear.
 #[test]
 fn churned_threads_release_clean_banks() {
+    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
     const ROUNDS: usize = 500;
     const PAR: usize = 8;
     let mut seen = std::collections::HashSet::new();
@@ -38,18 +44,25 @@ fn churned_threads_release_clean_banks() {
                 })
             })
             .collect();
-        for h in handles {
-            let tid = h.join().expect("churn thread");
-            // Joining a thread orders its TLS destructors before us: the
-            // finalizer must already have scrubbed the bank and the id must
-            // be claimable again (unless a concurrent sibling grabbed it).
+        let tids: Vec<u16> = handles
+            .into_iter()
+            .map(|h| h.join().expect("churn thread"))
+            .collect();
+        // Joining a thread orders its TLS destructors before us: the
+        // finalizer must already have scrubbed the bank and released the
+        // id. Checked only once the whole round is joined: a sibling still
+        // running could otherwise claim a released id and dirty its bank
+        // between the two checks.
+        for tid in tids {
             seen.insert(tid);
-            if !tid_is_claimed(tid) {
-                assert!(
-                    bank_is_clear(tid),
-                    "round {round}: released tid {tid} has a dirty bank"
-                );
-            }
+            assert!(
+                !tid_is_claimed(tid),
+                "round {round}: joined thread's tid {tid} is still claimed"
+            );
+            assert!(
+                bank_is_clear(tid),
+                "round {round}: released tid {tid} has a dirty bank"
+            );
         }
     }
     // Bounded growth: PAR concurrent threads plus whatever the test harness
@@ -69,6 +82,7 @@ fn churned_threads_release_clean_banks() {
 /// previous owner exited mid-"operation" (hazards set, epoch pinned).
 #[test]
 fn reused_tid_starts_pristine() {
+    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
     for _ in 0..64 {
         let dirty_tid = std::thread::spawn(|| {
             let g = pin();

@@ -10,7 +10,7 @@
 use lfc_ledger::{HealthCfg, Ledger, LedgerCfg, LedgerError, ServiceState, SettleOutcome};
 use lfc_runtime::fault;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
+use std::sync::{Barrier, Mutex, PoisonError};
 
 static SERIAL: Mutex<()> = Mutex::new(());
 
@@ -26,15 +26,20 @@ fn with_peer<R>(f: impl FnOnce() -> R) -> R {
         }
     }
     let stop = AtomicBool::new(false);
+    let registered = Barrier::new(2);
     std::thread::scope(|sc| {
         sc.spawn(|| {
             fault::shield_thread(true);
             let _g = lfc_hazard::pin();
+            registered.wait();
             while !stop.load(Ordering::Acquire) {
                 std::thread::yield_now();
             }
         });
         let _stop_guard = StopOnDrop(&stop);
+        // The body must not start in the solo regime: wait until the peer
+        // holds its tid.
+        registered.wait();
         f()
     })
 }
@@ -59,7 +64,7 @@ fn tiny_cfg() -> LedgerCfg {
 
 #[test]
 fn injected_oom_walks_the_ladder_and_the_service_heals() {
-    let _serial = SERIAL.lock().unwrap();
+    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
     fault::disarm();
     let l = Ledger::new(tiny_cfg());
     let a = l.open(10).unwrap();
@@ -116,7 +121,7 @@ fn injected_oom_walks_the_ladder_and_the_service_heals() {
 
 #[test]
 fn killed_workers_are_adopted_and_every_sweep_conserves() {
-    let _serial = SERIAL.lock().unwrap();
+    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
     fault::install_quiet_abandon_hook();
     fault::disarm();
     fault::shield_thread(true);

@@ -11,6 +11,8 @@
 //!   publication when no helper can exist.
 //! * [`backoff`] — the doubling backoff function used by the paper's
 //!   evaluation (§6) for both the blocking and the lock-free objects.
+//! * [`metrics`] — the per-thread counter registry every layer counts its
+//!   events in, summed when read into one [`metrics::Snapshot`].
 //! * [`lock`] — the test-test-and-set lock the paper uses for its blocking
 //!   baseline composition (§6).
 //! * [`pad`] — 128-byte cache-line padding to eliminate false sharing.
@@ -27,6 +29,7 @@
 pub mod backoff;
 pub mod fault;
 pub mod lock;
+pub mod metrics;
 pub mod pad;
 pub mod rng;
 pub mod solo;

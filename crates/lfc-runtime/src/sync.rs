@@ -17,11 +17,10 @@
 //! waiting for and what keeps bounded exploration free of livelocked
 //! branches.
 //!
-//! Deliberately *not* routed through the facade: pure diagnostic counters
-//! (`lfc-dcas::counters`, the hazard domain's retired/reclaimed totals'
-//! consumers assert on them but no protocol decision reads them in a
-//! racy way) would only multiply scheduling points; they stay on plain
-//! `std` atomics where noted at their definitions.
+//! Deliberately *not* routed through the facade: the event counters of
+//! [`crate::metrics`] (tests assert on them, but no protocol decision
+//! depends on their exact value) would only multiply scheduling points;
+//! the registry stays on plain `std` atomics.
 
 #[cfg(not(lfc_model))]
 pub use std::hint::spin_loop;

@@ -75,6 +75,8 @@ impl Drop for ThreadSlot {
         // safe, and it keeps the solo fast path disabled while the exit
         // hooks still retire memory.
         ACTIVE.fetch_sub(1, Ordering::SeqCst);
+        // Last: the exit hooks above counted into this thread's block.
+        crate::metrics::release_current();
     }
 }
 
@@ -159,6 +161,13 @@ fn claim() -> u16 {
         }
     }
     panic!("lfc-runtime: more than {MAX_THREADS} concurrently registered threads");
+}
+
+/// Whether the calling thread holds a `ThreadSlot` whose teardown has
+/// not run yet (the metrics block's release waits for it).
+pub(crate) fn slot_is_live() -> bool {
+    SLOT.try_with(|s| s.try_borrow().map_or(true, |s| s.is_some()))
+        .unwrap_or(false)
 }
 
 /// Number of currently registered (live) threads.

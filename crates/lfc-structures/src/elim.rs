@@ -68,6 +68,7 @@
 use crate::node::{retire_node, Node};
 use crate::sync::{AtomicUsize, Ordering};
 use lfc_hazard::{slot, Guard};
+use lfc_runtime::metrics::{self, Counter};
 use lfc_runtime::CachePadded;
 use std::marker::PhantomData;
 
@@ -134,7 +135,7 @@ impl<T: Clone + Send + Sync + 'static> ElimArray<T> {
             if elim_slot.load(Ordering::Relaxed) != addr {
                 // Claimed: do not touch the node again.
                 g.clear(slot::ELIM);
-                counters::note_pair();
+                metrics::bump(Counter::ElimPairs);
                 return true;
             }
             lfc_runtime::camp_round(i);
@@ -146,7 +147,7 @@ impl<T: Clone + Send + Sync + 'static> ElimArray<T> {
             .is_err();
         g.clear(slot::ELIM);
         if won {
-            counters::note_pair();
+            metrics::bump(Counter::ElimPairs);
         }
         won
     }
@@ -287,18 +288,12 @@ mod tests {
     }
 }
 
-/// Elimination tallies (plain `std` atomics, diagnostics only).
+/// Elimination tallies (reads of `lfc_runtime::metrics`).
 pub mod counters {
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    static PAIRS: AtomicU64 = AtomicU64::new(0);
-
-    pub(super) fn note_pair() {
-        PAIRS.fetch_add(1, Ordering::Relaxed);
-    }
+    use lfc_runtime::metrics::{total, Counter};
 
     /// Push/pop pairs cancelled through the exchanger (process-wide).
     pub fn eliminated_pairs() -> u64 {
-        PAIRS.load(Ordering::Relaxed)
+        total(Counter::ElimPairs)
     }
 }

@@ -708,9 +708,16 @@ where
         // Relaxed (audited): the counter is a heuristic; the split-order
         // invariants hold at every size, so a missed or doubled increment
         // only shifts *when* growth happens.
-        let items = self.hdr().items.fetch_add(1, Ordering::Relaxed) + 1;
+        // A composed move's remove can decrement before the insert that
+        // fed it notes its increment, so the count may transiently wrap
+        // below zero: read it as signed.
+        let items = self
+            .hdr()
+            .items
+            .fetch_add(1, Ordering::Relaxed)
+            .wrapping_add(1) as isize;
         let size = self.hdr().size.load(Ordering::Relaxed);
-        if items > size << GROW_SHIFT && size < self.max_size {
+        if items > (size << GROW_SHIFT) as isize && size < self.max_size {
             // Degrade under memory pressure (`map.grow` fault site): skip
             // the doubling — growth is an optimization, never a correctness
             // requirement, so the map simply runs at a higher load factor
@@ -767,7 +774,8 @@ where
     pub fn grow_bound(&self) -> usize {
         // Relaxed (audited): a racy item count only shifts the clamp by a
         // doubling; the directory-memory bound is asymptotic, not exact.
-        let items = self.hdr().items.load(Ordering::Relaxed);
+        // Signed for the same transient wrap as in `note_inserted`.
+        let items = (self.hdr().items.load(Ordering::Relaxed) as isize).max(0) as usize;
         (items + 1)
             .next_power_of_two()
             .checked_shl(GROW_SHIFT as u32 + 1)

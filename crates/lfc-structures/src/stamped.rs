@@ -9,7 +9,7 @@
 //! The top word packs a 16-bit stamp into the pointer's high bits; every
 //! successful push/pop bumps it, so a delayed DCAS helper whose expected
 //! `old2` was consumed can never match a *recreated* top value and false
-//! helping disappears (measured by `lfc_dcas::counters::stale_mark_reverts`
+//! helping disappears (measured by `lfc_runtime::metrics::Counter::StaleMarkReverts`
 //! in the `stamped_ablation` bench).
 
 use crate::node::{

@@ -314,7 +314,9 @@ fn movers_race_direct_consumers_for_exactly_once_delivery() {
 
 #[test]
 fn structures_do_not_leak_blocks() {
-    let before = lfc_alloc::outstanding();
+    // This thread's own count: every allocation and free below runs here,
+    // while sibling tests allocate concurrently.
+    let before = lfc_alloc::thread_outstanding();
     {
         let q: MsQueue<u64> = MsQueue::new();
         let s: TreiberStack<u64> = TreiberStack::new();
@@ -329,10 +331,18 @@ fn structures_do_not_leak_blocks() {
         while q.dequeue().is_some() {}
         while s.pop().is_some() {}
     }
-    lfc_hazard::flush();
-    let after = lfc_alloc::outstanding();
     // Everything except a bounded number of still-hazarded stragglers must
-    // be back in the pool.
+    // be back in the pool. Flush until it is: a sibling test preempted
+    // inside an operation keeps its epoch pinned, and with it every record
+    // retired since; a leak is what never drains.
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+    lfc_hazard::flush();
+    let mut after = lfc_alloc::thread_outstanding();
+    while after > before + 64 && std::time::Instant::now() < deadline {
+        std::thread::yield_now();
+        lfc_hazard::flush();
+        after = lfc_alloc::thread_outstanding();
+    }
     assert!(
         after <= before + 64,
         "outstanding blocks grew {before} -> {after}"

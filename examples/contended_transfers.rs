@@ -19,7 +19,8 @@
 //! cargo run --release --example contended_transfers
 //! ```
 
-use lockfree_compose::batch::{counters, decode_move, decode_swap};
+use lockfree_compose::batch::{decode_move, decode_swap};
+use lockfree_compose::metrics;
 use lockfree_compose::{BatchGate, LfHashMap, MoveKeyedOp, MoveKeyedToAllOp, MsQueue, SwapOp};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -134,12 +135,10 @@ fn main() {
         elapsed,
         total as f64 / elapsed.as_secs_f64()
     );
+    let gate = metrics::snapshot().batch;
     println!(
         "gate traffic: {} direct, {} batched ({} batches drained, {} self-executed)",
-        counters::direct_ops(),
-        counters::batched_ops(),
-        counters::batches_drained(),
-        counters::self_execs()
+        gate.direct, gate.batched, gate.drained, gate.self_execs
     );
     println!("conservation check passed: every token exists exactly once");
 }

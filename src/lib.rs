@@ -43,9 +43,9 @@ pub mod compose {
     };
 }
 /// The contention-adaptive batched front-end (claim-pattern group commit):
-/// result-word codecs and engagement counters.
+/// result-word codecs.
 pub mod batch {
-    pub use lfc_core::batch::{counters, decode_move, decode_swap, encode_move, encode_swap};
+    pub use lfc_core::batch::{decode_move, decode_swap, encode_move, encode_swap};
 }
 pub use lfc_dcas::{DAtomic, DcasResult};
 pub use lfc_runtime::{Backoff, BackoffCfg, TtasLock};
@@ -58,8 +58,12 @@ pub mod hazard {
 
 /// Re-export of the pooling allocator statistics.
 pub mod alloc_stats {
-    pub use lfc_alloc::{outstanding, stats, AllocError, AllocStats};
+    pub use lfc_alloc::{outstanding, stats, thread_outstanding, AllocError, AllocStats};
 }
+
+/// The per-thread event-counter registry every layer counts in, summed
+/// when read (see `lfc_runtime::metrics`).
+pub use lfc_runtime::metrics;
 
 /// Fault-injection subsystem (testing/robustness): named failure sites,
 /// injected thread death, and the corpse registry (see

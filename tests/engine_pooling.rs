@@ -7,8 +7,17 @@
 //! thread would register itself and both disturb the solo phase and race
 //! the process-global pool counters.
 
-use lfc_dcas::kcas::counters;
+use lockfree_compose::metrics;
 use lockfree_compose::{move_to_all, MoveOutcome, MsQueue};
+
+/// (hits, misses) of the CASN and RDCSS pools together, process-wide.
+fn pool_counts() -> (u64, u64) {
+    let e = metrics::snapshot().engine;
+    (
+        e.casn_pool_hits + e.rdcss_pool_hits,
+        e.casn_pool_misses + e.rdcss_pool_misses,
+    )
+}
 
 fn roundtrip(src: &MsQueue<u64>, refs: &[&MsQueue<u64>], dsts: &[MsQueue<u64>]) {
     assert_eq!(move_to_all(src, refs), MoveOutcome::Moved);
@@ -33,11 +42,8 @@ fn steady_state_move_to_all_never_hits_the_allocator() {
         roundtrip(&src, &refs, &dsts);
     }
     assert_eq!(
-        counters::casn_pool_hits()
-            + counters::casn_pool_misses()
-            + counters::rdcss_pool_hits()
-            + counters::rdcss_pool_misses(),
-        0,
+        pool_counts(),
+        (0, 0),
         "solo move_to_all must not touch the descriptor layer at all"
     );
 
@@ -58,19 +64,18 @@ fn steady_state_move_to_all_never_hits_the_allocator() {
         lockfree_compose::hazard::flush();
     }
     // Steady state: every allocation must be a pool hit.
-    let miss0 = counters::casn_pool_misses() + counters::rdcss_pool_misses();
-    let hits0 = counters::casn_pool_hits() + counters::rdcss_pool_hits();
+    let (hits0, miss0) = pool_counts();
     for _ in 0..200 {
         roundtrip(&src, &refs, &dsts);
         lockfree_compose::hazard::flush();
     }
+    let (hits, misses) = pool_counts();
     assert_eq!(
-        counters::casn_pool_misses() + counters::rdcss_pool_misses(),
-        miss0,
+        misses, miss0,
         "steady-state move_to_all must never fall through to lfc-alloc"
     );
     assert!(
-        counters::casn_pool_hits() + counters::rdcss_pool_hits() >= hits0 + 200,
+        hits >= hits0 + 200,
         "steady-state commits are served by the pools"
     );
 

@@ -17,7 +17,7 @@ use lockfree_compose::{
     MoveOneOp, MoveOutcome, MsQueue, TreiberStack,
 };
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
+use std::sync::{Barrier, Mutex, PoisonError};
 
 /// The fault registry is process-global; serialize the tests sharing it.
 static SERIAL: Mutex<()> = Mutex::new(());
@@ -36,24 +36,29 @@ fn with_peer<R>(f: impl FnOnce() -> R) -> R {
         }
     }
     let stop = AtomicBool::new(false);
+    let registered = Barrier::new(2);
     std::thread::scope(|sc| {
         sc.spawn(|| {
             // Shielded peer: registers a tid (defeating the solo regime)
             // without tripping any armed site itself.
             lockfree_compose::fault::shield_thread(true);
             let _g = lockfree_compose::hazard::pin();
+            registered.wait();
             while !stop.load(Ordering::Acquire) {
                 std::thread::yield_now();
             }
         });
         let _stop_guard = StopOnDrop(&stop);
+        // The body must not start in the solo regime: wait until the peer
+        // holds its tid.
+        registered.wait();
         f()
     })
 }
 
 #[test]
 fn composition_try_ops_surface_alloc_errors() {
-    let _serial = SERIAL.lock().unwrap();
+    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
     disarm();
     let q: MsQueue<u64> = MsQueue::new();
     let q2: MsQueue<u64> = MsQueue::new();
@@ -99,7 +104,7 @@ fn composition_try_ops_surface_alloc_errors() {
 
 #[test]
 fn rdcss_exhaustion_fails_casn_commits_gracefully() {
-    let _serial = SERIAL.lock().unwrap();
+    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
     disarm();
     let q: MsQueue<u64> = MsQueue::new();
     let a: TreiberStack<u64> = TreiberStack::new();
@@ -126,7 +131,7 @@ fn rdcss_exhaustion_fails_casn_commits_gracefully() {
 
 #[test]
 fn structure_try_ops_hand_the_element_back() {
-    let _serial = SERIAL.lock().unwrap();
+    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
     disarm();
     let q: MsQueue<String> = MsQueue::new();
     let s: TreiberStack<String> = TreiberStack::new();
@@ -151,7 +156,7 @@ fn structure_try_ops_hand_the_element_back() {
 
 #[test]
 fn constructors_and_gate_fail_fallibly() {
-    let _serial = SERIAL.lock().unwrap();
+    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
     disarm();
     arm_site("structures.header", Schedule::Always);
     arm_site("batch.gate", Schedule::Always);
@@ -165,7 +170,7 @@ fn constructors_and_gate_fail_fallibly() {
 
 #[test]
 fn batch_submit_degrades_to_direct_execution_without_nodes() {
-    let _serial = SERIAL.lock().unwrap();
+    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
     disarm();
     let q: MsQueue<u64> = MsQueue::new();
     let s: TreiberStack<u64> = TreiberStack::new();
@@ -185,7 +190,7 @@ fn batch_submit_degrades_to_direct_execution_without_nodes() {
 
 #[test]
 fn map_degrades_to_no_resize_under_pressure() {
-    let _serial = SERIAL.lock().unwrap();
+    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
     disarm();
     let m: LfHashMap<u64, u64> = LfHashMap::with_buckets(2);
 
@@ -218,7 +223,7 @@ fn map_degrades_to_no_resize_under_pressure() {
 
 #[test]
 fn allocator_level_failures_stay_fallible() {
-    let _serial = SERIAL.lock().unwrap();
+    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
     disarm();
     let s: TreiberStack<u64> = TreiberStack::new();
     let q: MsQueue<u64> = MsQueue::new();
