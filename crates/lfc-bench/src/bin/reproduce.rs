@@ -17,7 +17,7 @@
 //! format recorded in `BENCH_results.json` for the perf trajectory.
 //!
 //! `throughput` runs the PR 7 multi-thread closed-loop harness: each
-//! workload × mode (baseline/adaptive) at each thread count, emitting
+//! workload at each thread count, emitting
 //! scaling curves (ops/sec + p50/p99/p999 + reclamation high-water) as one
 //! JSON object. With no `--threads`, a host with ≥ 4 cores sweeps
 //! 1/2/4/8 and a small CI container falls back to a 2-thread
@@ -352,46 +352,37 @@ fn run_throughput_capture(args: &[String]) {
         (TpWorkload::StackPushPop, Skew::Uniform),
         (TpWorkload::SkipMix, Skew::Zipfian),
     ];
-    // Interleave baseline/adaptive trials and keep each mode's median-
-    // throughput trial: back-to-back single runs on a shared box otherwise
-    // hand whichever mode runs second a warmed allocator and a quieter
-    // scheduler.
+    // Each cell keeps its median-throughput trial: a single run on a
+    // shared box swings with whatever else the scheduler is doing.
     let trials = if smoke { 1 } else { 3 };
     let mut curves = Vec::new();
     for &n in &threads {
         for (workload, skew) in workloads {
-            let mut runs: [Vec<_>; 2] = [Vec::new(), Vec::new()];
-            for _ in 0..trials {
-                for adaptive in [false, true] {
-                    runs[adaptive as usize].push(run_throughput(&TpCfg {
+            let mut runs: Vec<_> = (0..trials)
+                .map(|_| {
+                    run_throughput(&TpCfg {
                         workload,
                         threads: n,
                         skew,
                         duration_ms,
                         key_space,
-                        adaptive,
                         seed,
-                    }));
-                }
-            }
-            for per_mode in runs {
-                let mut per_mode = per_mode;
-                per_mode.sort_by_key(|r| r.ops);
-                let r = per_mode.swap_remove(per_mode.len() / 2);
-                eprintln!(
-                    "  {:<22} {:<8} t={n}: {:>10.0} ops/s  p50={} p99={} p999={} retired_hwm={} batched={} elim={}",
-                    r.name,
-                    r.mode,
-                    r.ops_per_sec(),
-                    r.p50_ns,
-                    r.p99_ns,
-                    r.p999_ns,
-                    r.retired_hwm,
-                    r.batched_ops,
-                    r.elim_pairs
-                );
-                curves.push(r.to_value());
-            }
+                    })
+                })
+                .collect();
+            runs.sort_by_key(|r| r.ops);
+            let r = runs.swap_remove(runs.len() / 2);
+            eprintln!(
+                "  {:<22} t={n}: {:>10.0} ops/s  p50={} p99={} p999={} retired_hwm={} elim={}",
+                r.name,
+                r.ops_per_sec(),
+                r.p50_ns,
+                r.p99_ns,
+                r.p999_ns,
+                r.retired_hwm,
+                r.elim_pairs
+            );
+            curves.push(r.to_value());
         }
     }
     let doc = Json::Obj(vec![

@@ -12,7 +12,7 @@
 //! * `ReadMostly` — 90 % `LfHashMap::get`, 10 % composed `move_keyed`
 //!   between two maps;
 //! * `MoveHeavy` — 100 % composed `move_keyed` shuttling keys between two
-//!   maps (the CASN-commit-bound regime the group commit targets);
+//!   maps (the commit-bound regime);
 //! * `Mixed` — 50 % get, 20 % insert/remove, 30 % move;
 //! * `StackPushPop` — plain push/pop on one hot `TreiberStack` (the
 //!   elimination regime);
@@ -22,9 +22,7 @@
 //!
 //! Key choice is `Uniform` or `Zipfian` (s ≈ 0.99, YCSB-style) over a
 //! configurable key space; a small space plus Zipf skew concentrates the
-//! load on a few hot buckets. `adaptive` selects the PR 7 machinery (the
-//! [`BatchGate`] front-end for map moves, the elimination layer for the
-//! stack); baseline runs the plain composition / a no-elimination stack.
+//! load on a few hot buckets.
 //!
 //! On a host with fewer cores than threads the run is *oversubscribed* —
 //! deliberately so: preempted readers exercise the PR 6 ejection ladder,
@@ -33,7 +31,7 @@
 
 use crate::hist::Hist;
 use crate::json::Json;
-use lfc_core::{move_keyed, BatchGate, MoveKeyedOp, MoveOutcome};
+use lfc_core::move_keyed;
 use lfc_runtime::{metrics, SmallRng};
 use lfc_structures::{LfHashMap, LfSkipMap, TreiberStack};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -78,9 +76,6 @@ pub struct TpCfg {
     pub duration_ms: u64,
     /// Keys shuttled between the two maps (ignored by `StackPushPop`).
     pub key_space: u64,
-    /// `true` = PR 7 machinery (batch gate / elimination); `false` =
-    /// plain compositions / no-elimination stack.
-    pub adaptive: bool,
     /// RNG seed (deterministic key sequences per thread).
     pub seed: u64,
 }
@@ -112,8 +107,6 @@ impl TpCfg {
 pub struct TpResult {
     /// `TpCfg::name()`.
     pub name: String,
-    /// `"adaptive"` or `"baseline"`.
-    pub mode: &'static str,
     /// Worker threads.
     pub threads: usize,
     /// Total completed operations.
@@ -134,9 +127,6 @@ pub struct TpResult {
     pub retired_hwm: u64,
     /// Whether threads exceeded the cores available to the process.
     pub oversubscribed: bool,
-    /// Submits the batch gate routed through the claim list during the
-    /// run (0 in baseline mode / non-gated workloads).
-    pub batched_ops: u64,
     /// Push/pop pairs cancelled in the elimination exchanger.
     pub elim_pairs: u64,
 }
@@ -151,7 +141,6 @@ impl TpResult {
     pub fn to_value(&self) -> Json {
         Json::Obj(vec![
             ("name".into(), Json::str(self.name.clone())),
-            ("mode".into(), Json::str(self.mode)),
             ("threads".into(), Json::int(self.threads as u64)),
             ("ops".into(), Json::int(self.ops)),
             (
@@ -164,7 +153,6 @@ impl TpResult {
             ("min_thread_ops".into(), Json::int(self.min_thread_ops)),
             ("retired_bytes_hwm".into(), Json::int(self.retired_hwm)),
             ("oversubscribed".into(), Json::Bool(self.oversubscribed)),
-            ("batched_ops".into(), Json::int(self.batched_ops)),
             ("elim_pairs".into(), Json::int(self.elim_pairs)),
         ])
     }
@@ -261,7 +249,6 @@ pub fn run_throughput(cfg: &TpCfg) -> TpResult {
     }
     TpResult {
         name: cfg.name(),
-        mode: if cfg.adaptive { "adaptive" } else { "baseline" },
         threads: cfg.threads,
         ops,
         elapsed_ns,
@@ -275,7 +262,6 @@ pub fn run_throughput(cfg: &TpCfg) -> TpResult {
         },
         retired_hwm: hwm,
         oversubscribed,
-        batched_ops: after.batch.batched - before.batch.batched,
         elim_pairs: after.structures.elim_pairs - before.structures.elim_pairs,
     }
 }
@@ -327,12 +313,8 @@ fn run_maps(cfg: &TpCfg) -> (Vec<WorkerOut>, u64, u64) {
     for k in 0..cfg.key_space {
         a.insert(k, k);
     }
-    // One gate serves both move directions (same request type either way).
-    type Map = LfHashMap<u64, u64>;
-    let gate: BatchGate<MoveKeyedOp<'_, u64, u64, Map, Map>> = BatchGate::new();
     let keys = KeyPick::new(cfg.skew, cfg.key_space);
     let workload = cfg.workload;
-    let adaptive = cfg.adaptive;
     let seed = cfg.seed;
 
     drive(cfg.threads, cfg.duration_ms, |t, stop, hwm| {
@@ -340,13 +322,9 @@ fn run_maps(cfg: &TpCfg) -> (Vec<WorkerOut>, u64, u64) {
             SmallRng::seed_from_u64(seed ^ (t as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
         let mut hist = Hist::new();
         let mut ops = 0u64;
-        let do_move = |key: u64, fwd: bool| -> MoveOutcome {
+        let do_move = |key: u64, fwd: bool| {
             let (src, dst) = if fwd { (&a, &b) } else { (&b, &a) };
-            if adaptive {
-                lfc_core::batch::decode_move(gate.submit(MoveKeyedOp::new(src, key, dst)))
-            } else {
-                move_keyed(src, &key, dst)
-            }
+            move_keyed(src, &key, dst)
         };
         while !stop.load(Ordering::Acquire) {
             let key = keys.pick(&mut rng);
@@ -396,13 +374,10 @@ fn run_skip(cfg: &TpCfg) -> (Vec<WorkerOut>, u64, u64) {
     for k in 0..cfg.key_space {
         a.insert(k, k);
     }
-    type Skip = LfSkipMap<u64, u64>;
-    let gate: BatchGate<MoveKeyedOp<'_, u64, u64, Skip, Skip>> = BatchGate::new();
     let keys = KeyPick::new(cfg.skew, cfg.key_space);
     // Range windows stay well inside the key space so every scan walks
     // real chain (empty windows would measure nothing).
     let window = (cfg.key_space / 16).max(4);
-    let adaptive = cfg.adaptive;
     let seed = cfg.seed;
 
     drive(cfg.threads, cfg.duration_ms, |t, stop, hwm| {
@@ -410,13 +385,9 @@ fn run_skip(cfg: &TpCfg) -> (Vec<WorkerOut>, u64, u64) {
             SmallRng::seed_from_u64(seed ^ (t as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
         let mut hist = Hist::new();
         let mut ops = 0u64;
-        let do_move = |key: u64, fwd: bool| -> MoveOutcome {
+        let do_move = |key: u64, fwd: bool| {
             let (src, dst) = if fwd { (&a, &b) } else { (&b, &a) };
-            if adaptive {
-                lfc_core::batch::decode_move(gate.submit(MoveKeyedOp::new(src, key, dst)))
-            } else {
-                move_keyed(src, &key, dst)
-            }
+            move_keyed(src, &key, dst)
         };
         while !stop.load(Ordering::Acquire) {
             let key = keys.pick(&mut rng);
@@ -447,11 +418,7 @@ fn run_skip(cfg: &TpCfg) -> (Vec<WorkerOut>, u64, u64) {
 }
 
 fn run_stack(cfg: &TpCfg) -> (Vec<WorkerOut>, u64, u64) {
-    let stack: TreiberStack<u64> = if cfg.adaptive {
-        TreiberStack::new()
-    } else {
-        TreiberStack::without_elimination()
-    };
+    let stack: TreiberStack<u64> = TreiberStack::new();
     for v in 0..64 {
         stack.push(v);
     }
@@ -506,39 +473,35 @@ mod tests {
             TpWorkload::StackPushPop,
             TpWorkload::SkipMix,
         ] {
-            for adaptive in [false, true] {
-                // Retried: on an oversubscribed test runner (2 harness
-                // threads + the rest of this binary's tests sharing one
-                // core) a 30 ms window can starve a thread through OS
-                // scheduling alone. Persistent starvation across attempts
-                // is the real signal.
-                let mut r = None;
-                for _ in 0..3 {
-                    let attempt = run_throughput(&TpCfg {
-                        workload,
-                        threads: 2,
-                        skew: Skew::Zipfian,
-                        duration_ms: 30,
-                        key_space: 16,
-                        adaptive,
-                        seed: 42,
-                    });
-                    let done = attempt.ops > 0 && attempt.min_thread_ops > 0;
-                    r = Some(attempt);
-                    if done {
-                        break;
-                    }
+            // Retried: on an oversubscribed test runner (2 harness
+            // threads + the rest of this binary's tests sharing one
+            // core) a 30 ms window can starve a thread through OS
+            // scheduling alone. Persistent starvation across attempts
+            // is the real signal.
+            let mut r = None;
+            for _ in 0..3 {
+                let attempt = run_throughput(&TpCfg {
+                    workload,
+                    threads: 2,
+                    skew: Skew::Zipfian,
+                    duration_ms: 30,
+                    key_space: 16,
+                    seed: 42,
+                });
+                let done = attempt.ops > 0 && attempt.min_thread_ops > 0;
+                r = Some(attempt);
+                if done {
+                    break;
                 }
-                let r = r.unwrap();
-                assert!(r.ops > 0, "{} {} did nothing", r.name, r.mode);
-                assert!(
-                    r.min_thread_ops > 0,
-                    "{} {} starved a thread on every attempt",
-                    r.name,
-                    r.mode
-                );
-                assert!(r.p50_ns <= r.p99_ns && r.p99_ns <= r.p999_ns);
             }
+            let r = r.unwrap();
+            assert!(r.ops > 0, "{} did nothing", r.name);
+            assert!(
+                r.min_thread_ops > 0,
+                "{} starved a thread on every attempt",
+                r.name
+            );
+            assert!(r.p50_ns <= r.p99_ns && r.p99_ns <= r.p999_ns);
         }
     }
 }

@@ -1,6 +1,6 @@
 //! Crash adversary (PR 8 acceptance): a kill campaign abandons at least
 //! eight threads at armed protocol kill sites — after announcement, after
-//! descriptor publication, after a batched submit — while shielded
+//! descriptor publication, after a CASN announcement — while shielded
 //! survivors keep churning the same objects. The claims:
 //!
 //! 1. every abandoned in-flight operation is completed by survivors
@@ -65,13 +65,11 @@ fn crash_abandoned_threads_are_adopted_and_conserved() {
 
     // Kill sites at every helping boundary a thread can die beyond:
     // announced-not-published, published-not-decided (the worst torn
-    // state), a batched request handed to the group commit, and a CASN
-    // (group/fan-out commit) announcement. EveryNth counters are global
-    // and only unshielded threads advance them, so the victims reap
-    // themselves at a steady rate while survivors run for free.
+    // state), and a CASN (fan-out commit) announcement. EveryNth counters
+    // are global and only unshielded threads advance them, so the victims
+    // reap themselves at a steady rate while survivors run for free.
     fault::arm_site("dcas.announced", fault::Schedule::EveryNth(701));
     fault::arm_site("dcas.published", fault::Schedule::EveryNth(463));
-    fault::arm_site("batch.submitted", fault::Schedule::EveryNth(389));
     fault::arm_site("kcas.announced", fault::Schedule::EveryNth(557));
 
     let stop = AtomicBool::new(false);

@@ -9,48 +9,41 @@ use lfc_bench::throughput::{cores, run_throughput, Skew, TpCfg, TpWorkload};
 
 #[test]
 fn oversubscribed_run_completes_within_garbage_budget() {
-    let threads = cores() + 1;
-    for adaptive in [false, true] {
-        let r = run_throughput(&TpCfg {
-            workload: TpWorkload::MoveHeavy,
-            threads,
-            skew: Skew::Zipfian,
-            duration_ms: 80,
-            key_space: 32,
-            adaptive,
-            seed: 0x5E0C,
-        });
-        assert!(r.oversubscribed, "threads = cores + 1 must oversubscribe");
-        assert!(r.ops > 0, "{} did no work", r.mode);
-        assert!(
-            r.min_thread_ops > 0,
-            "{}: a worker was starved outright",
-            r.mode
-        );
-        assert!(r.p50_ns <= r.p99_ns && r.p99_ns <= r.p999_ns);
-        let budget = lfc_hazard::stall_policy().max_retired_bytes as u64;
-        assert!(
-            r.retired_hwm < budget,
-            "{}: retired high-water {} exceeded the stall-policy budget {}",
-            r.mode,
-            r.retired_hwm,
-            budget
-        );
-    }
+    let r = run_throughput(&TpCfg {
+        workload: TpWorkload::MoveHeavy,
+        threads: cores() + 1,
+        skew: Skew::Zipfian,
+        duration_ms: 80,
+        key_space: 32,
+        seed: 0x5E0C,
+    });
+    assert!(r.oversubscribed, "threads = cores + 1 must oversubscribe");
+    assert!(r.ops > 0, "{} did no work", r.name);
+    assert!(
+        r.min_thread_ops > 0,
+        "{}: a worker was starved outright",
+        r.name
+    );
+    assert!(r.p50_ns <= r.p99_ns && r.p99_ns <= r.p999_ns);
+    let budget = lfc_hazard::stall_policy().max_retired_bytes as u64;
+    assert!(
+        r.retired_hwm < budget,
+        "{}: retired high-water {} exceeded the stall-policy budget {}",
+        r.name,
+        r.retired_hwm,
+        budget
+    );
 }
 
 #[test]
-fn stack_workload_runs_with_and_without_elimination() {
-    for adaptive in [false, true] {
-        let r = run_throughput(&TpCfg {
-            workload: TpWorkload::StackPushPop,
-            threads: cores() + 1,
-            skew: Skew::Uniform,
-            duration_ms: 50,
-            key_space: 1,
-            adaptive,
-            seed: 0x57AC,
-        });
-        assert!(r.ops > 0 && r.min_thread_ops > 0, "{} starved", r.mode);
-    }
+fn stack_workload_runs_without_starving() {
+    let r = run_throughput(&TpCfg {
+        workload: TpWorkload::StackPushPop,
+        threads: cores() + 1,
+        skew: Skew::Uniform,
+        duration_ms: 50,
+        key_space: 1,
+        seed: 0x57AC,
+    });
+    assert!(r.ops > 0 && r.min_thread_ops > 0, "{} starved", r.name);
 }

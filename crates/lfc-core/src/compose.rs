@@ -106,15 +106,6 @@ pub struct Engine {
     /// Entry index whose owning stage must redo its init phase.
     retry_at: Option<usize>,
     dead: Option<Dead>,
-    /// Commit failures this composition may still absorb before giving up
-    /// (`None` = unbounded, the default). The batched front-end's *direct*
-    /// attempts run with a small budget: a contended composition that
-    /// burns through it aborts with [`Engine::starved`] set and falls back
-    /// to the claim-list group commit instead of fighting the hot words.
-    fail_budget: Option<u32>,
-    /// Whether the composition aborted because `fail_budget` ran out
-    /// (contention starvation), as opposed to a semantic rejection.
-    starved: bool,
     /// Commit through [`try_commit_entries`], recording allocation failure
     /// in `oom` instead of panicking (the `try_*` composition entry
     /// points).
@@ -144,8 +135,6 @@ impl Engine {
             aliased: false,
             retry_at: None,
             dead: None,
-            fail_budget: None,
-            starved: false,
             fallible: false,
             oom: false,
             finished: false,
@@ -163,36 +152,6 @@ impl Engine {
     /// Whether a fallible commit aborted on allocation failure.
     pub(crate) fn oom(&self) -> bool {
         self.oom
-    }
-
-    /// A budgeted engine for the batched front-end's direct attempts (see
-    /// [`Engine::fail_budget`]). Budgeted engines also commit *fallibly*:
-    /// the gate's OOM fallback runs direct attempts under exactly the
-    /// memory pressure that failed its node allocation, so a descriptor
-    /// refill there must surface as [`Engine::oom`] (the caller retries or
-    /// falls back) rather than reach the aborting allocator.
-    pub(crate) fn new_budgeted(plan: usize, fail_budget: u32) -> Engine {
-        let mut eng = Engine::new(plan);
-        eng.fail_budget = Some(fail_budget);
-        eng.fallible = true;
-        eng
-    }
-
-    /// Whether the composition aborted on budget exhaustion rather than a
-    /// semantic rejection.
-    pub(crate) fn starved(&self) -> bool {
-        self.starved
-    }
-
-    /// Whether the last abort was an aliasing rejection.
-    pub(crate) fn was_aliased(&self) -> bool {
-        self.aliased
-    }
-
-    /// Whether the composition died because the remove at stage `idx`
-    /// found its source empty (swap verdict mapping).
-    pub(crate) fn empty_at(&self, idx: usize) -> bool {
-        self.dead == Some(Dead::Empty(idx))
     }
 
     /// Record stage `idx`'s linearization point; `false` means the word
@@ -267,26 +226,6 @@ impl Engine {
         }
     }
 
-    /// Seeded-bug support (`model_toggles::SKIP_FLAG_ENTRY`): commit only
-    /// the structure entries captured so far — *without* the result-flag
-    /// entry the batched front-end relies on for exactly-once execution.
-    /// This is the naive handoff protocol: the flag is then published by a
-    /// separate CAS after the commit, leaving a window in which a second
-    /// drainer re-executes the request and double-commits. Exists only so
-    /// the model checker can demonstrate it catches that bug.
-    #[cfg(lfc_model)]
-    pub(crate) fn commit_without_flag(&mut self) -> bool {
-        self.no_commit = false;
-        // Safety: same as `commit` — entries `..count` were captured live.
-        match unsafe { commit_entries(&self.entries[..self.count], &self.g) } {
-            CasnResult::Success => true,
-            CasnResult::FailedAt(k) => {
-                self.retry_at = Some(k);
-                false
-            }
-        }
-    }
-
     /// Translate a stage's "deeper" verdict into the `scas` result for the
     /// operation owning entry `idx` — the single copy of the
     /// FIRSTFAILED/SECONDFAILED generalization.
@@ -318,18 +257,6 @@ impl Engine {
         match self.retry_at {
             // Our captured CAS failed: redo this stage's init phase.
             Some(k) if k == idx => {
-                // Budgeted attempt (batched front-end): each commit failure
-                // spends one unit; exhaustion converts the retry into a
-                // starvation abort that the caller routes to the group
-                // commit. `retry_at` stays set so the outer stages observe
-                // a post-commit abort, not a fresh-attempt one.
-                if let Some(b) = self.fail_budget.as_mut() {
-                    if *b == 0 {
-                        self.starved = true;
-                        return ScasResult::Abort;
-                    }
-                    *b -= 1;
-                }
                 self.retry_at = None;
                 ScasResult::Fail
             }

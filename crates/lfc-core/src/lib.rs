@@ -41,13 +41,10 @@
 
 #![warn(missing_docs)]
 
-pub mod batch;
 pub mod compose;
 pub mod keyed;
 pub mod multi;
-mod sync;
 
-pub use batch::{BatchGate, BatchOp, MoveKeyedOp, MoveKeyedToAllOp, MoveOneOp, SwapOp};
 pub use compose::{
     move_keyed_to_all, move_keyed_to_unkeyed, swap, try_move_keyed_to_all,
     try_move_keyed_to_unkeyed, try_swap, Composition, SwapOutcome, MAX_ENTRIES,
@@ -292,22 +289,4 @@ impl<T> MoveTarget<T> for dyn DynMoveTarget<T> + '_ {
 fn assert_traits() {
     fn is_send_sync<X: Send + Sync>() {}
     is_send_sync::<NormalCas>();
-}
-
-/// Seeded-bug switches for the model checker (mirrors
-/// `lfc_hazard::model_toggles`): compiled only under `--cfg lfc_model`,
-/// flipped by scenarios to demonstrate the checker *would* catch the
-/// corresponding protocol regression.
-#[cfg(lfc_model)]
-pub mod model_toggles {
-    use std::sync::atomic::{AtomicBool, Ordering};
-
-    /// Commit batched requests **without** the result-flag CASN entry and
-    /// publish the flag by a separate CAS afterwards — the naive combiner
-    /// handoff whose window lets two drainers double-execute one request.
-    pub static SKIP_FLAG_ENTRY: AtomicBool = AtomicBool::new(false);
-
-    pub(crate) fn skip_flag_entry() -> bool {
-        SKIP_FLAG_ENTRY.load(Ordering::Relaxed)
-    }
 }

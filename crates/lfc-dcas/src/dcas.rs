@@ -262,12 +262,6 @@ impl DescHandle {
         d.hp2 = e.hp;
     }
 
-    /// Address of the first word, for alias detection (a DCAS whose two
-    /// words coincide can never succeed — e.g. a stack moved onto itself).
-    pub fn first_word_addr(&self) -> usize {
-        self.desc().ptr1 as usize
-    }
-
     /// Publish the descriptor and run the DCAS as the initiating process.
     ///
     /// Returns the result plus a handle for the next attempt: a handle

@@ -39,43 +39,14 @@ use lfc_runtime::solo;
 /// `Composition` builder in `lfc-core` is the safe wrapper: it captures
 /// entries from live borrows and rejects aliased words at capture time
 /// (debug builds re-check distinctness here).
+///
+/// Panics if a descriptor allocation fails; [`try_commit_entries`] is the
+/// fallible form.
 #[inline]
 pub unsafe fn commit_entries(entries: &[CasnEntry], g: &Guard) -> CasnResult {
-    assert!(
-        (2..=MAX_ENTRIES).contains(&entries.len()),
-        "commit_entries supports 2..={MAX_ENTRIES} entries"
-    );
-    debug_assert!(
-        entries
-            .iter()
-            .enumerate()
-            .all(|(i, e)| entries[..i].iter().all(|p| !std::ptr::eq(p.ptr, e.ptr))),
-        "entry words must be pairwise distinct (engine alias detection)"
-    );
-
-    // Regime 1: solo — no descriptor, no publication, no reclamation work.
-    if let Some(_solo) = solo::try_enter() {
-        return solo_commit(entries);
-    }
-
-    // Regime 2: K=2 — the paper's DCAS is the two-entry specialization.
-    if let [first, second] = entries {
-        let mut h = DescHandle::new();
-        h.set_first_from(first);
-        h.set_second_from(second);
-        return match h.commit_engine(g) {
-            DcasResult::Success => CasnResult::Success,
-            DcasResult::FirstFailed => CasnResult::FailedAt(0),
-            DcasResult::SecondFailed => CasnResult::FailedAt(1),
-        };
-    }
-
-    // Regime 3: the general CASN.
-    let mut h = CasnHandle::new();
-    for (i, e) in entries.iter().enumerate() {
-        h.set_entry_from(i, e);
-    }
-    h.commit(g)
+    // Safety: forwarded unchanged; the caller upholds the contract above.
+    unsafe { try_commit_entries(entries, g) }
+        .unwrap_or_else(|_| panic!("lfc-alloc: allocation of a commit descriptor failed"))
 }
 
 /// Fallible [`commit_entries`]: descriptor and RDCSS allocation failures
@@ -104,10 +75,12 @@ pub unsafe fn try_commit_entries(
         "entry words must be pairwise distinct (engine alias detection)"
     );
 
+    // Regime 1: solo — no descriptor, no publication, no reclamation work.
     if let Some(_solo) = solo::try_enter() {
         return Ok(solo_commit(entries));
     }
 
+    // Regime 2: K=2 — the paper's DCAS is the two-entry specialization.
     if let [first, second] = entries {
         let mut h = DescHandle::try_new()?;
         h.set_first_from(first);
@@ -119,6 +92,7 @@ pub unsafe fn try_commit_entries(
         });
     }
 
+    // Regime 3: the general CASN.
     let mut h = CasnHandle::try_new()?;
     for (i, e) in entries.iter().enumerate() {
         h.set_entry_from(i, e);

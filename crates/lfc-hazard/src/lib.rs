@@ -193,32 +193,24 @@ pub mod slot {
     pub const ENTRY0: usize = 16;
     /// Number of engine entry slots (one per possible CASN entry).
     pub const ENTRY_COUNT: usize = 6;
-    /// The batched-composition claim protection (PR 7): a submitter parks
-    /// its request node's base address here for the whole submit — push,
-    /// result spin-wait, helping — so the node survives even if the
-    /// submitter is ejected and zombified while waiting (named hazards are
-    /// immune to the zombie tier's birth-era partition, unlike epochs).
-    /// The batch drainer that clears a batch retires its nodes; a waiter's
-    /// CLAIM slot is what makes its final result-word read safe after that.
-    pub const CLAIM: usize = 22;
     /// The elimination exchanger's camp protection (PR 7): a pusher parks
     /// its offered node's address here for as long as it camps on an
     /// exchanger slot. A claimed offer is *retired* (never freed
     /// directly), so this hazard is what closes the ABA window — the
     /// node's address cannot be recycled into a fresh offer the camping
     /// pusher's withdraw CAS could steal (see `lfc-structures::elim`).
-    pub const ELIM: usize = 23;
+    pub const ELIM: usize = 22;
 }
 
 /// Hazard slots per registered thread.
-pub const SLOTS_PER_THREAD: usize = 24;
+pub const SLOTS_PER_THREAD: usize = 23;
 
 /// One thread's hazard slots, cache-line padded: before padding,
 /// neighbouring threads' banks shared lines in one flat array and every
 /// hazard publication invalidated other threads' cached banks. The
 /// alignment keeps each bank on its own aligned prefetch-pairs of lines
-/// (`24 × 8 = 192` bytes, padded to 256 by the alignment). Since PR 3 the
-/// hot writers are the `ENTRY*` promotions (every composed capture), the
+/// (`23 × 8 = 184` bytes, padded to 256 by the alignment). The hot
+/// writers are the `ENTRY*` promotions (every composed capture), the
 /// `DESC`/`HELP*`/`KCAS*` helper slots, and any hazard-style object's
 /// INS*/REM* roles.
 #[repr(align(128))]

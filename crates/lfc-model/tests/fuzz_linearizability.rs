@@ -642,153 +642,6 @@ fn fuzz_broadcast_trio() {
 }
 
 #[test]
-fn fuzz_batched_keyed_moves() {
-    // The PR 7 batched front-end under random schedules: keyed moves
-    // between two hash maps are routed through one `always_batched`
-    // claim-list gate (every submit takes the claim/drain path — combiner
-    // handoffs, helping and self-execution all mix into the schedules),
-    // while plain inserts/removes hit the maps directly. Every recorded
-    // history must still satisfy the keyed pair spec: a batched move
-    // remains one atomic action.
-    use lfc_core::batch::decode_move;
-    use lfc_core::{BatchGate, MoveKeyedOp};
-
-    #[derive(Clone, Copy, Debug)]
-    enum BatchedOp {
-        InsA(u32),
-        InsB(u32),
-        RemA(u32),
-        RemB(u32),
-        MoveAB(u32),
-        MoveBA(u32),
-    }
-
-    fn mv_result(o: MoveOutcome) -> KeyedMoveResult {
-        match o {
-            MoveOutcome::Moved => KeyedMoveResult::Moved,
-            MoveOutcome::SourceEmpty => KeyedMoveResult::Absent,
-            MoveOutcome::TargetRejected => KeyedMoveResult::Duplicate,
-            MoveOutcome::WouldAlias => unreachable!("distinct containers"),
-        }
-    }
-
-    type Gate = BatchGate<MoveKeyedOp<'static, u32, u32, LfHashMap<u32, u32>, LfHashMap<u32, u32>>>;
-
-    let (seeds, execs, base) = budget();
-    for w in 0..seeds {
-        let mut rng = SmallRng::seed_from_u64(base.wrapping_add(w).wrapping_mul(0xBA7C4));
-        // Tiny key space so batched moves collide with direct operations
-        // on the same chains.
-        let plans: Vec<Vec<BatchedOp>> = (0..2)
-            .map(|_| {
-                (0..4)
-                    .map(|_| {
-                        let k = rng.below(4) as u32;
-                        match rng.below(6) {
-                            0 => BatchedOp::InsA(k),
-                            1 => BatchedOp::InsB(k),
-                            2 => BatchedOp::RemA(k),
-                            3 => BatchedOp::RemB(k),
-                            4 => BatchedOp::MoveAB(k),
-                            _ => BatchedOp::MoveBA(k),
-                        }
-                    })
-                    .collect()
-            })
-            .collect();
-        let plans = Arc::new(plans);
-        let report = explore_random(
-            FuzzOpts {
-                seed: base ^ (0xE00 + w),
-                executions: execs,
-                step_budget: 200_000,
-                memory: MemoryMode::Interleaving,
-            },
-            {
-                let plans = plans.clone();
-                move || {
-                    let a = Arc::new(LfHashMap::<u32, u32>::new());
-                    let b = Arc::new(LfHashMap::<u32, u32>::new());
-                    // The request type borrows the maps; the Arcs outlive
-                    // every worker join below, so promoting is sound.
-                    let (ar, br): (&'static LfHashMap<u32, u32>, &'static LfHashMap<u32, u32>) =
-                        unsafe { (&*Arc::as_ptr(&a), &*Arc::as_ptr(&b)) };
-                    let gate: Arc<Gate> = Arc::new(BatchGate::always_batched());
-                    let rec = Arc::new(Recorder::<KeyedPairOp>::new());
-                    let handles: Vec<_> = plans
-                        .iter()
-                        .cloned()
-                        .map(|ops| {
-                            let (a, b, gate, rec) =
-                                (a.clone(), b.clone(), gate.clone(), rec.clone());
-                            lfc_model::thread::spawn(move || {
-                                for op in ops {
-                                    match op {
-                                        BatchedOp::InsA(k) => {
-                                            rec.record(|| KeyedPairOp::InsA(k, a.insert(k, k)));
-                                        }
-                                        BatchedOp::InsB(k) => {
-                                            rec.record(|| KeyedPairOp::InsB(k, b.insert(k, k)));
-                                        }
-                                        BatchedOp::RemA(k) => {
-                                            rec.record(|| {
-                                                KeyedPairOp::RemA(k, a.remove(&k).is_some())
-                                            });
-                                        }
-                                        BatchedOp::RemB(k) => {
-                                            rec.record(|| {
-                                                KeyedPairOp::RemB(k, b.remove(&k).is_some())
-                                            });
-                                        }
-                                        BatchedOp::MoveAB(k) => {
-                                            rec.record(|| {
-                                                KeyedPairOp::MoveAB(
-                                                    k,
-                                                    mv_result(decode_move(
-                                                        gate.submit(MoveKeyedOp::new(ar, k, br)),
-                                                    )),
-                                                )
-                                            });
-                                        }
-                                        BatchedOp::MoveBA(k) => {
-                                            rec.record(|| {
-                                                KeyedPairOp::MoveBA(
-                                                    k,
-                                                    mv_result(decode_move(
-                                                        gate.submit(MoveKeyedOp::new(br, k, ar)),
-                                                    )),
-                                                )
-                                            });
-                                        }
-                                    }
-                                }
-                            })
-                        })
-                        .collect();
-                    for h in handles {
-                        h.join();
-                    }
-                    let rec =
-                        Arc::try_unwrap(rec).unwrap_or_else(|_| panic!("sole recorder owner"));
-                    let h = rec.finish();
-                    let verdict = check_linearizable(&KeyedPairSpec, &h);
-                    assert!(
-                        verdict.is_linearizable(),
-                        "non-linearizable batched keyed history:\n{}",
-                        render_history(&h)
-                    );
-                }
-            },
-        );
-        if let Some(f) = &report.failure {
-            panic!(
-                "fuzz family batched keyed moves, workload {w} (re-run with LFC_FUZZ_SEED={base}): {f}"
-            );
-        }
-    }
-}
-
-#[test]
 fn fuzz_eliminating_stack_pairs() {
     // The queue/stack family re-run with the elimination exchanger forced
     // in front of the stack's `top` CAS: plain pushes and pops may cancel

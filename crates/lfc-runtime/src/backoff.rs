@@ -102,58 +102,6 @@ impl Backoff {
     }
 }
 
-/// Cap on [`Snooze`]'s doubling spin budget: past this, every tick yields
-/// the quantum instead of growing the spin.
-const SNOOZE_SPIN_CAP: u32 = 1024;
-
-/// The spin→yield ladder for *infallible* retry loops: entry points that
-/// cannot report `Overloaded` to a caller (a batch gate absorbing an OOM
-/// on its infallible surface, a service retry loop that has decided to
-/// wait pressure out) and so must wait in place without blocking anyone.
-/// Each [`tick`](Snooze::tick) spins a doubling budget of hint rounds;
-/// once the budget saturates, ticks yield the quantum — on an
-/// oversubscribed core the rival whose progress we are waiting on only
-/// runs if we give the core up.
-///
-/// Spin hints and yields come from the virtual-atomics facade, so under
-/// the model checker every tick is a scheduling point and bounded
-/// exploration never livelocks in a snooze loop.
-#[derive(Debug)]
-pub struct Snooze {
-    spins: u32,
-}
-
-impl Default for Snooze {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Snooze {
-    /// Fresh ladder (one per retry sequence).
-    pub const fn new() -> Self {
-        Snooze { spins: 1 }
-    }
-
-    /// One failed round: spin the current budget, then double it — or
-    /// yield once the budget is saturated.
-    pub fn tick(&mut self) {
-        for _ in 0..self.spins {
-            crate::sync::spin_loop();
-        }
-        if self.spins < SNOOZE_SPIN_CAP {
-            self.spins <<= 1;
-        } else {
-            crate::sync::yield_now();
-        }
-    }
-
-    /// Whether the ladder has escalated past spinning into yielding.
-    pub fn is_yielding(&self) -> bool {
-        self.spins >= SNOOZE_SPIN_CAP
-    }
-}
-
 /// One round of a *camped* wait — a bounded rendezvous window (an
 /// elimination slot waiting for its partner, a quiesce gate waiting for
 /// in-flight operations to drain) where the partner must actually run
@@ -234,23 +182,6 @@ mod tests {
         b.fail();
         assert_eq!(b.cur_ns, 400, "capped at max");
         assert_eq!(b.failures(), 3);
-    }
-
-    #[test]
-    fn snooze_escalates_from_spinning_to_yielding() {
-        let mut s = Snooze::new();
-        assert!(!s.is_yielding());
-        // 1+2+4+...+512 spin rounds, then the cap is reached.
-        for _ in 0..10 {
-            s.tick();
-        }
-        assert!(s.is_yielding(), "budget must saturate into yields");
-        // Saturated ticks stay cheap (yield, no unbounded spin growth).
-        let t = Instant::now();
-        for _ in 0..100 {
-            s.tick();
-        }
-        assert!(t.elapsed() < Duration::from_millis(500));
     }
 
     #[test]

@@ -52,8 +52,6 @@
 //! | `dcas.help` | lfc-dcas | helper dies at the helping boundary |
 //! | `structures.node`, `structures.header` | lfc-structures | node/header allocation fails |
 //! | `map.segment`, `map.dummy`, `map.grow` | lfc-structures | split-ordered map degrades (no resize) |
-//! | `batch.node`, `batch.gate` | lfc-core | gate allocation fails (falls back to direct execution) |
-//! | `batch.submitted` | lfc-core | submitter dies after publishing its request |
 //!
 //! Threads that must survive a kill campaign (the harness's survivor
 //! pool, verification code) call [`shield_thread`]; exiting and

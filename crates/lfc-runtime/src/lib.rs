@@ -36,7 +36,7 @@ pub mod solo;
 pub mod sync;
 pub mod tid;
 
-pub use backoff::{camp_round, Backoff, BackoffCfg, Snooze};
+pub use backoff::{camp_round, Backoff, BackoffCfg};
 pub use lock::TtasLock;
 pub use pad::CachePadded;
 pub use rng::SmallRng;

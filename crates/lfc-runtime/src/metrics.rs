@@ -114,17 +114,6 @@ registry! {
         /// Push/pop pairs cancelled through the exchanger.
         elim_pairs => ElimPairs,
     }
-    /// `lfc-core::batch`: the contention-adaptive front-end.
-    batch: BatchCounts {
-        /// Submits that completed on the direct (unbatched) path.
-        direct => BatchDirect,
-        /// Submits routed through the claim list.
-        batched => BatchBatched,
-        /// Batches fully drained and cleared.
-        drained => BatchDrained,
-        /// Waiters that resolved their own request via the escape hatch.
-        self_execs => BatchSelfExec,
-    }
 }
 
 impl AllocCounts {

@@ -35,17 +35,11 @@ pub use lfc_core::{
     KeyedMoveSource, KeyedMoveTarget, LinPoint, MoveOutcome, MoveSource, MoveTarget, NormalCas,
     RemoveCtx, RemoveOutcome, ScasResult, SwapOutcome, MAX_ENTRIES, MAX_TARGETS,
 };
-pub use lfc_core::{BatchGate, BatchOp, MoveKeyedOp, MoveKeyedToAllOp, MoveOneOp, SwapOp};
 /// The composition-engine builder module (sources, stages, [`Composition`]).
 pub mod compose {
     pub use lfc_core::compose::{
         Commit, Composition, InsertStage, KeyedInsertStage, KeyedSource, Source, Stages,
     };
-}
-/// The contention-adaptive batched front-end (claim-pattern group commit):
-/// result-word codecs.
-pub mod batch {
-    pub use lfc_core::batch::{decode_move, decode_swap, encode_move, encode_swap};
 }
 pub use lfc_dcas::{DAtomic, DcasResult};
 pub use lfc_runtime::{Backoff, BackoffCfg, TtasLock};

@@ -6,15 +6,13 @@
 //!
 //! The named sites exercised here: `dcas.desc`, `dcas.casn`, `dcas.rdcss`
 //! (commit descriptors), `structures.node`, `structures.header` (object
-//! allocations), `batch.node`, `batch.gate` (group-commit front-end),
-//! `map.grow` / `map.segment` / `map.dummy` (directory growth degrade),
+//! allocations), `map.grow` / `map.segment` / `map.dummy` (directory growth degrade),
 //! and the allocator-level `alloc.block` beneath them all.
 
-use lockfree_compose::batch::decode_move;
 use lockfree_compose::fault::{arm_site, disarm, fired_total, Schedule};
 use lockfree_compose::{
-    move_one, try_move_keyed, try_move_one, try_move_to_all, try_swap, BatchGate, LfHashMap,
-    MoveOneOp, MoveOutcome, MsQueue, TreiberStack,
+    move_one, try_move_keyed, try_move_one, try_move_to_all, try_swap, LfHashMap, MoveOutcome,
+    MsQueue, TreiberStack,
 };
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Barrier, Mutex, PoisonError};
@@ -155,37 +153,15 @@ fn structure_try_ops_hand_the_element_back() {
 }
 
 #[test]
-fn constructors_and_gate_fail_fallibly() {
+fn constructors_fail_fallibly() {
     let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
     disarm();
     arm_site("structures.header", Schedule::Always);
-    arm_site("batch.gate", Schedule::Always);
     assert!(TreiberStack::<u64>::try_new().is_err());
     assert!(MsQueue::<u64>::try_new().is_err());
-    assert!(BatchGate::<MoveOneOp<u64, MsQueue<u64>, TreiberStack<u64>>>::try_new().is_err());
     disarm();
     assert!(TreiberStack::<u64>::try_new().is_ok());
     assert!(MsQueue::<u64>::try_new().is_ok());
-}
-
-#[test]
-fn batch_submit_degrades_to_direct_execution_without_nodes() {
-    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
-    disarm();
-    let q: MsQueue<u64> = MsQueue::new();
-    let s: TreiberStack<u64> = TreiberStack::new();
-    q.enqueue(9);
-
-    // A gate that would *always* batch cannot even allocate its request
-    // node: submit must fall back to unbounded direct execution and still
-    // return the operation's real outcome.
-    let gate: BatchGate<MoveOneOp<u64, MsQueue<u64>, TreiberStack<u64>>> =
-        BatchGate::always_batched();
-    arm_site("batch.node", Schedule::Always);
-    let w = gate.submit(MoveOneOp::new(&q, &s));
-    disarm();
-    assert_eq!(decode_move(w), MoveOutcome::Moved);
-    assert_eq!(s.pop(), Some(9));
 }
 
 #[test]
